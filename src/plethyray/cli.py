@@ -296,12 +296,15 @@ def cmd_scan(args: argparse.Namespace) -> int:
         return _usage_error("--rows must be 1 or 2")
     if args.form not in ("inhomogeneous", "homogeneous", "both"):
         return _usage_error("--form must be inhomogeneous, homogeneous, or both")
+    try:
+        workers = int(os.environ.get(ENV_WORKERS, "1"))
+    except ValueError:
+        return _usage_error(f"{ENV_WORKERS} must be an integer, got {os.environ[ENV_WORKERS]!r}")
     jobs = []
     for d in range(2, args.max_boxes // 2 + 1):
         for k in range(2, args.max_boxes // d + 1):
             for lam in _scan_partitions(d * k, args.rows):
                 jobs.append((d, k, str(lam), args.form, args.smax))
-    workers = int(os.environ.get(ENV_WORKERS, "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_scan_one, jobs))

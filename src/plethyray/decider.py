@@ -14,10 +14,12 @@ witness by exact periodic counting.  When neither side concludes, the
 verdict is an honest "unknown".
 
 The witness search runs first and is fast (pinned slopes decouple the
-offsets into interval arithmetic).  The nonexistence search does exact
-work that grows with the window; inputs that are in fact not representable
-tend to empty it within the first period or two, so the expensive regime is
-exactly the large-period inputs headed for an "unknown" verdict.
+offsets into interval arithmetic).  In the nonexistence search every branch
+system is kept irredundant, so its size stays bounded (at most 8
+constraints on the stress ladder up to period 30) instead of growing with
+the window; the work is the number of branches times a small exact
+elimination.  Inputs that are in fact not representable tend to empty the
+disjunction within the first period or two.
 """
 
 from __future__ import annotations
@@ -167,7 +169,8 @@ def _initial_system(form: str) -> LinearSystem3:
         cons.append(make_constraint((0, -1, 0), 0))
         cons.append(make_constraint((0, 0, 1), 0))  # cbar == 0
         cons.append(make_constraint((0, 0, -1), 0))
-    return LinearSystem3().extended(cons)
+    # distinct directions, none implied by the others: already irredundant
+    return LinearSystem3(tuple(cons))
 
 
 def _lower_coeffs(form: str, s: int) -> tuple[int, int, int]:
@@ -251,20 +254,18 @@ def _phase_n(
 
 
 def _first_all_positive(q: QuasiPolynomial, growth: Fraction) -> int:
-    """Least s1 with q(s) >= 1 for every s >= s1 (0 for constant-growth-0 input)."""
+    """Least s1 with q(s) >= 1 for every s >= s1 (0 for constant-growth-0 input).
+
+    Row j is r0 + growth*s on s = j + p*t, t >= 0; with growth > 0 it first
+    reaches 1 at the least t with growth*(j + p*t) >= 1 - r0.
+    """
     if growth == 0:
         return 0
-    worst = 0
-    for residue in range(q.period):
-        s = residue
-        for _ in range(100_000):
-            if q.eval(s) >= 1:
-                break
-            s += q.period
-        else:
-            raise AssertionError("positive growth rate but no positive value found")
-        worst = max(worst, s)
-    return worst
+    p = q.period
+    return max(
+        j + p * max(0, ceil((1 - row[0] - growth * j) / (growth * p)))
+        for j, row in enumerate(q.rows)
+    )
 
 
 def _intersect(a: Bound, b: Bound) -> Bound | None:
@@ -471,7 +472,7 @@ def _replay_initial(form: str) -> LinearSystem3:
             make_constraint((0, 0, 1), 0),
             make_constraint((0, 0, -1), 0),
         ]
-    return LinearSystem3().extended(cons)
+    return LinearSystem3(tuple(cons))
 
 
 def _replay_branch(form: str, s: int, target: int, m: int, growth: Fraction) -> list[Constraint]:
@@ -501,7 +502,7 @@ def replay_certificate(cert: Certificate, q: QuasiPolynomial) -> bool:
     exhaust the exact range of ceil(lower endpoint) over every surviving
     system, every recorded status must match a fresh feasibility check, and
     the final disjunction must be empty.  Any mismatch, gap, or malformed
-    trace yields False.
+    trace yields False; an error in the replayer itself propagates.
     """
     try:
         if cert.kind == "slope":
@@ -570,5 +571,5 @@ def replay_certificate(cert: Certificate, q: QuasiPolynomial) -> bool:
                         return False
             systems = new_systems
         return not systems
-    except Exception:
+    except ValueError:  # malformed input, e.g. a non-integer value of q
         return False

@@ -2,9 +2,14 @@
 
 Systems hold constraints a0*b + a1*c + a2*cbar (< or <=) rhs with a
 first-class strictness flag.  Feasibility, exact bounds of linear
-functionals, and rational point extraction all run through Fourier-Motzkin
-elimination; a derived constraint is strict exactly when one of its parents
-is.
+functionals, redundancy, and rational point extraction all run through one
+Fourier-Motzkin loop that eliminates cbar, then c, then b; a derived
+constraint is strict exactly when one of its parents is.
+
+The decider's constraints each involve (b, c) or (b, cbar), never c and cbar
+together.  Eliminating the offsets before the shared slope b keeps the two
+groups apart, so pair products stay small; and extending a system keeps it
+irredundant, so it does not grow with the number of dilations seen.
 
 Coefficient vectors are kept as primitive integer tuples (the right-hand
 side stays an exact Fraction), which keeps the elimination inner loop in
@@ -60,12 +65,21 @@ def _violated(cons: Constraint) -> bool:
 
 
 def _combine(lower: Constraint, upper: Constraint, var: int) -> Constraint:
-    """Eliminate var between a lower bound (negative coeff) and an upper bound."""
-    al = lower.coeffs[var]  # < 0
+    """Eliminate var between a lower bound (negative coeff) and an upper bound.
+
+    The right-hand side is built as one Fraction from integer parts: this is
+    the innermost step of every elimination, and Fraction's operators cost
+    several times more.
+    """
+    al = -lower.coeffs[var]  # > 0
     au = upper.coeffs[var]  # > 0
-    return _reduce(
-        (-al * u + au * l for l, u in zip(lower.coeffs, upper.coeffs)),
-        -al * upper.rhs + au * lower.rhs,
+    coeffs = [al * u + au * l for l, u in zip(lower.coeffs, upper.coeffs)]
+    g = gcd(*coeffs) or 1
+    lo, up = lower.rhs, upper.rhs
+    return Constraint(
+        tuple(a // g for a in coeffs),
+        Fraction(al * up.numerator * lo.denominator + au * lo.numerator * up.denominator,
+                 lo.denominator * up.denominator * g),
         lower.strict or upper.strict,
     )
 
@@ -101,17 +115,81 @@ def _eliminate(constraints: list[Constraint], var: int) -> list[Constraint] | No
     return rest + deduped
 
 
+def _project(work: list[Constraint], keep: int | None = None) -> list[Constraint] | None:
+    """Eliminate every unknown but keep, in the order cbar, c, b; None if infeasible."""
+    for var in range(NUM_VARS - 1, -1, -1):
+        if var != keep:
+            work = _eliminate(work, var)
+            if work is None:
+                return None
+    return work
+
+
+def _satisfiable(constraints: Iterable[Constraint]) -> bool:
+    """Whether some rational point satisfies every constraint."""
+    work = _dedupe(constraints)
+    if work is None:
+        return False
+    work = _project(work)
+    # everything that survives total elimination is a 0 (<|<=) rhs check
+    return work is not None and not any(_violated(cons) for cons in work)
+
+
+def _negation(cons: Constraint) -> Constraint:
+    """a.x <= r becomes a.x > r, and a.x < r becomes a.x >= r."""
+    return Constraint(tuple(-a for a in cons.coeffs), -cons.rhs, not cons.strict)
+
+
+def _alone_on_its_side(cons: Constraint, rest: list[Constraint]) -> bool:
+    """Whether cons is the only constraint that bounds some unknown from its side.
+
+    Then moving far enough that way from any solution of a feasible rest
+    breaks cons alone, so rest does not imply it.
+    """
+    return any(
+        a and all(other.coeffs[var] * a <= 0 for other in rest)
+        for var, a in enumerate(cons.coeffs)
+    )
+
+
+def _irredundant(constraints: list[Constraint]) -> list[Constraint]:
+    """Drop, one at a time, each constraint that the remaining ones imply.
+
+    Requires a feasible system.  A constraint is implied exactly when the
+    others plus its negation are infeasible.  A constraint kept at its turn
+    stays irredundant after later drops, since dropping only enlarges the
+    solution set of the others.
+    """
+    kept = list(constraints)
+    i = 0
+    while i < len(kept):
+        cons = kept[i]
+        rest = kept[:i] + kept[i + 1:]
+        if _alone_on_its_side(cons, rest) or _satisfiable(rest + [_negation(cons)]):
+            i += 1
+        else:
+            kept = rest
+    return kept
+
+
+_CONTRADICTION = Constraint((0,) * NUM_VARS, Fraction(-1), False)
+
+
 @dataclass(frozen=True)
 class LinearSystem3:
     constraints: tuple[Constraint, ...] = ()
 
     def extended(self, new: Iterable[Constraint]) -> "LinearSystem3":
-        """A new system with extra constraints, tightest-per-direction deduplicated."""
+        """The system with extra constraints, reduced to an irredundant one.
+
+        An infeasible result is the explicit contradiction 0 <= -1, so that
+        feasible() reports it at once; otherwise every constraint implied by
+        the others is dropped.  The solution set is unchanged either way.
+        """
         deduped = _dedupe(self.constraints + tuple(new))
-        if deduped is None:
-            # keep the contradiction explicit so feasible() reports it
-            return LinearSystem3((Constraint((0,) * NUM_VARS, Fraction(-1), False),))
-        return LinearSystem3(tuple(deduped))
+        if deduped is None or not _satisfiable(deduped):
+            return LinearSystem3((_CONTRADICTION,))
+        return LinearSystem3(tuple(_irredundant(deduped)))
 
     def canonical_key(self) -> tuple:
         return tuple(sorted(self.constraints))
@@ -119,15 +197,7 @@ class LinearSystem3:
 
 def feasible(system: LinearSystem3) -> bool:
     """Whether some rational point satisfies every constraint."""
-    work = _dedupe(system.constraints)
-    if work is None:
-        return False
-    for var in range(NUM_VARS - 1, -1, -1):
-        work = _eliminate(work, var)
-        if work is None:
-            return False
-    # everything that survives total elimination is a 0 (<|<=) rhs check
-    return not any(_violated(cons) for cons in work)
+    return _satisfiable(system.constraints)
 
 
 class Bound(NamedTuple):
@@ -146,7 +216,8 @@ def functional_bound(
 
     A pivot coordinate with nonzero functional coefficient is replaced by
     u = functional via an exact change of variables, then the remaining two
-    unknowns are eliminated, projecting the solution set onto u.
+    unknowns are eliminated in the usual order, projecting the solution set
+    onto u.
     """
     f = [_as_fraction(a) for a in coeffs]
     if len(f) != NUM_VARS:
@@ -175,12 +246,9 @@ def functional_bound(
     work = _dedupe(work)
     if work is None:
         return None
-    for var in range(NUM_VARS):
-        if var == pivot:
-            continue
-        work = _eliminate(work, var)
-        if work is None:
-            return None
+    work = _project(work, keep=pivot)
+    if work is None:
+        return None
 
     lo: Fraction | None = None
     lo_strict = False

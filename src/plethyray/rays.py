@@ -67,7 +67,8 @@ def sample_ray(
     points = range(s_max + 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(ray_value, [spec] * len(points), points))
+            return list(pool.map(ray_value, [spec] * len(points), points,
+                                 [backend] * len(points)))
     return [ray_value(spec, s, backend=backend) for s in points]
 
 

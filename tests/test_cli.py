@@ -217,6 +217,13 @@ def test_scan_rejects_bad_rows(capsys):
     assert code == 2 and "rows" in err
 
 
+def test_scan_rejects_non_integer_workers(capsys, monkeypatch):
+    monkeypatch.setenv("PLETHYRAY_WORKERS", "two")
+    code, out, err = run(capsys, "scan", "--rows", "2", "--max-boxes", "4")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "PLETHYRAY_WORKERS" in err
+
+
 def test_scan_csv_is_rfc4180(tmp_path, capsys):
     out_file = tmp_path / "scan.csv"
     code, _, _ = run(capsys, "scan", "--rows", "1", "--max-boxes", "4",

@@ -17,13 +17,22 @@ from plethyray import (
     phi_reference,
     replay_certificate,
 )
+from plethyray import decider
+from plethyray.decider import (
+    INHOMOGENEOUS,
+    _first_all_positive,
+    _replay_branch,
+    _replay_initial,
+)
 from plethyray.feasibility import (
+    Constraint,
     LinearSystem3,
     feasible,
     functional_bound,
     make_constraint,
     sample_point,
 )
+from plethyray.quasipoly import growth_rate
 
 
 def third_half_qp():
@@ -31,6 +40,46 @@ def third_half_qp():
 
 
 PARITY = QuasiPolynomial(2, [[1], [0]])
+
+
+def ladder_qp(p):
+    """The stress input: [s/p + 1/2, 3s/p + 3/4] with 1 added to its last residue row."""
+    family = ShiftedIntervalFamily(
+        Fraction(1, p), Fraction(1, 2), Fraction(3, p), Fraction(3, 4))
+    rows = [list(row) for row in periodic_count_qp(family, p).rows]
+    rows[p - 1][0] += 1
+    return QuasiPolynomial(p, rows)
+
+
+def fuzzed_quasipolynomials():
+    """Arbitrary integer-valued nonnegative degree <= 1 inputs."""
+    rng = random.Random(777)
+    for _ in range(40):
+        p = rng.randrange(1, 7)
+        growth = Fraction(rng.randrange(0, 2 * p + 1), p)
+        values = [rng.randrange(0, 5) for _ in range(p)]
+        yield QuasiPolynomial(
+            p, [[values[j] - j * growth, growth] for j in range(p)]
+        )
+
+
+def surviving_systems(q, steps):
+    """The feasible branch systems at each s, rebuilt from a certificate's steps."""
+    growth = growth_rate(q)
+    systems = [_replay_initial(INHOMOGENEOUS)]
+    out = [systems]
+    for s in range(max(st.s for st in steps) + 1):
+        by_parent = {}
+        for st in steps:
+            if st.s == s and st.status == "feasible":
+                by_parent.setdefault(st.parent, []).append(st.m)
+        systems = [
+            sys.extended(_replay_branch(INHOMOGENEOUS, s, q.eval_int(s), m, growth))
+            for parent, sys in enumerate(systems)
+            for m in by_parent.get(parent, [])
+        ]
+        out.append(systems)
+    return out
 
 
 # --- feasibility primitives -------------------------------------------------
@@ -113,9 +162,6 @@ def test_phi_not_representable_inhomogeneous():
 
 
 def test_phi_certificate_branch_structure():
-    from plethyray.decider import INHOMOGENEOUS, _replay_branch, _replay_initial
-    from plethyray.quasipoly import growth_rate
-
     phi = phi_reference()
     out = decide_inhomogeneous_1d(phi)
     steps = out.certificate.steps
@@ -131,18 +177,7 @@ def test_phi_certificate_branch_structure():
 
     # rebuild the two branches surviving s=5: the slope is pinned into two
     # disjoint windows with upper endpoints 4/15 and 7/15
-    growth = growth_rate(phi)
-    systems = [_replay_initial(INHOMOGENEOUS)]
-    for s in range(6):
-        by_parent = {}
-        for st in steps:
-            if st.s == s and st.status == "feasible":
-                by_parent.setdefault(st.parent, []).append(st.m)
-        systems = [
-            sys.extended(_replay_branch(INHOMOGENEOUS, s, phi.eval_int(s), m, growth))
-            for parent, sys in enumerate(systems)
-            for m in by_parent.get(parent, [])
-        ]
+    systems = surviving_systems(phi, steps)[6]
     assert len(systems) == 2
     ranges = sorted(
         (functional_bound(sys, (1, 0, 0)).lo, functional_bound(sys, (1, 0, 0)).hi)
@@ -295,6 +330,26 @@ def test_replay_rejects_wrong_quasipolynomial():
     assert replay_certificate(cert, QuasiPolynomial.constant(1)) is False
 
 
+def test_replay_rejects_non_integer_values():
+    phi = phi_reference()
+    cert = decide_inhomogeneous_1d(phi).certificate
+    shifted = phi + QuasiPolynomial.constant(Fraction(1, 2))
+    assert replay_certificate(cert, shifted) is False
+
+
+def test_replay_lets_internal_errors_through(monkeypatch):
+    # a fault in the replayer must not read as a rejected proof
+    phi = phi_reference()
+    cert = decide_inhomogeneous_1d(phi).certificate
+
+    def broken(system):
+        raise RuntimeError("feasibility fault")
+
+    monkeypatch.setattr(decider, "feasible", broken)
+    with pytest.raises(RuntimeError, match="feasibility fault"):
+        replay_certificate(cert, phi)
+
+
 def test_certificates_are_deterministic():
     phi = phi_reference()
     a = decide_inhomogeneous_1d(phi, s_max=24, denom_multiplier=4).to_json_dict()
@@ -318,16 +373,8 @@ def test_outcome_json_round_trip():
 
 
 def test_fuzzed_quasipolynomials_decide_coherently():
-    # arbitrary integer-valued nonnegative degree <= 1 inputs: every verdict
-    # must be internally consistent and cross-form coherent
-    rng = random.Random(777)
-    for _ in range(40):
-        p = rng.randrange(1, 7)
-        growth = Fraction(rng.randrange(0, 2 * p + 1), p)
-        values = [rng.randrange(0, 5) for _ in range(p)]
-        q = QuasiPolynomial(
-            p, [[values[j] - j * growth, growth] for j in range(p)]
-        )
+    # every verdict must be internally consistent and cross-form coherent
+    for q in fuzzed_quasipolynomials():
         inhom = decide_inhomogeneous_1d(q)
         homog = decide_homogeneous_1d(q)
         for out in (inhom, homog):
@@ -364,3 +411,76 @@ def test_round_trip_random_families():
         assert out.verdict == "representable", (family, out.reason)
         for s in range(25):
             assert count(out.witness, s) == qp.eval(s)
+
+
+# --- the stress ladder: bounded, irredundant branch systems -----------------
+
+
+def implied_by_others(constraints, i):
+    """The negation test: the others plus the negation of constraint i are infeasible."""
+    cons = constraints[i]
+    negation = Constraint(tuple(-a for a in cons.coeffs), -cons.rhs, not cons.strict)
+    others = constraints[:i] + constraints[i + 1:]
+    return not feasible(LinearSystem3(others + (negation,)))
+
+
+@pytest.mark.parametrize("p", [12, 30])
+def test_ladder_branch_systems_stay_irredundant(p):
+    q = ladder_qp(p)
+    out = decide_inhomogeneous_1d(q)
+    assert out.certificate.kind == "branch"
+    layers = surviving_systems(q, out.certificate.steps)
+    assert layers[-1] == []  # the disjunction empties at final_s
+    systems = [sys for layer in layers for sys in layer]
+    assert len(systems) > p
+    for sys in systems:
+        cons = sys.constraints
+        assert feasible(sys) and len(cons) <= 8
+        assert not any(implied_by_others(cons, i) for i in range(len(cons)))
+
+
+def test_extended_reports_infeasibility_explicitly():
+    box = normalization_box()
+    # b > 1 contradicts b < 1 only through the rest of the system
+    child = box.extended([make_constraint((-1, -1, 0), -2, strict=True)])
+    assert len(child.constraints) == 1 and not any(child.constraints[0].coeffs)
+    assert not feasible(child)
+    # a constraint implied by the box is dropped; one that cuts it is kept
+    assert box.extended([make_constraint((1, 1, 0), 2, strict=True)]) == box
+    cut = make_constraint((1, 1, 0), 1)
+    assert cut in box.extended([cut]).constraints
+
+
+def test_ladder_period_30_decides_and_replays_both_forms():
+    q = ladder_qp(30)
+    for decide in (decide_inhomogeneous_1d, decide_homogeneous_1d):
+        out = decide(q)
+        assert out.verdict == "not_representable"
+        assert replay_certificate(out.certificate, q)
+
+
+@pytest.mark.parametrize("p, steps", [(6, 23), (9, 42), (12, 67), (15, 101)])
+def test_ladder_certificate_step_counts_pinned(p, steps):
+    cert = decide_inhomogeneous_1d(ladder_qp(p)).certificate
+    assert cert.kind == "branch" and len(cert.steps) == steps
+
+
+def first_all_positive_by_scan(q, growth):
+    """Reference: walk each residue class until q first reaches 1."""
+    if growth == 0:
+        return 0
+    worst = 0
+    for residue in range(q.period):
+        s = residue
+        while q.eval(s) < 1:
+            s += q.period
+        worst = max(worst, s)
+    return worst
+
+
+def test_first_all_positive_closed_form_matches_scan():
+    late = QuasiPolynomial(3, [[-40, Fraction(1, 3)], [-7, Fraction(1, 3)], [2, Fraction(1, 3)]])
+    cases = [phi_reference(), late, ladder_qp(12), *fuzzed_quasipolynomials()]
+    for q in cases:
+        growth = growth_rate(q)
+        assert _first_all_positive(q, growth) == first_all_positive_by_scan(q, growth)
