@@ -22,6 +22,7 @@ from .decider import (
     replay_certificate,
 )
 from .intervals import verify_sum_decomposition
+from .kernels import ENV_BACKEND, resolve_backend
 from .partitions import Partition
 from .plethysm import plethysm_multiplicity
 from .quasipoly import FitFailure, QuasiPolynomial, phi_reference, reciprocity_violations
@@ -70,7 +71,16 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
+def _check_backend() -> None:
+    """Reject a bad PLETHYRAY_BACKEND before any multiplicity is computed."""
+    try:
+        resolve_backend()
+    except ValueError as exc:
+        raise UsageError(f"{ENV_BACKEND}: {exc}") from exc
+
+
 def cmd_plethysm(args: argparse.Namespace) -> int:
+    _check_backend()
     lam = _parse_partition(args.partition)
     if lam.size != args.d * args.k:
         print(
@@ -84,6 +94,7 @@ def cmd_plethysm(args: argparse.Namespace) -> int:
 
 
 def cmd_ray(args: argparse.Namespace) -> int:
+    _check_backend()
     lam = _parse_partition(args.partition)
     try:
         spec = RaySpec(args.mode, args.d, args.k, lam)
@@ -140,6 +151,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_paper(args: argparse.Namespace) -> int:
+    _check_backend()
     reference = phi_reference()
     if args.reference_qp is not None:
         try:
@@ -292,6 +304,7 @@ def _scan_one(job: tuple[int, int, str, str, int]) -> list[dict]:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    _check_backend()
     if args.rows not in (1, 2):
         return _usage_error("--rows must be 1 or 2")
     if args.form not in ("inhomogeneous", "homogeneous", "both"):

@@ -504,6 +504,8 @@ def replay_certificate(cert: Certificate, q: QuasiPolynomial) -> bool:
     the final disjunction must be empty.  Any mismatch, gap, or malformed
     trace yields False; an error in the replayer itself propagates.
     """
+    if cert.form not in (INHOMOGENEOUS, HOMOGENEOUS):
+        return False
     try:
         if cert.kind == "slope":
             if q.degree > 1:

@@ -10,11 +10,24 @@ and each weight-space dimension is the number of size-d multisets of degree-k
 monomial contents with the prescribed coordinate sum.  For partitions with at
 most n nonzero parts and n >= len(lam) this is the stable plethysm
 coefficient.
+
+In one or two variables the weight spaces have closed forms.  With one
+variable the only weight of the right total is (d*k), of dimension 1.  With
+two, the dimension of the (d*k - j, j) weight space is the number of
+partitions of j into at most d parts of size at most k, the coefficient of
+q^j in the Gaussian binomial [d+k choose d]_q (Cayley-Sylvester); its rows
+are built once per (d, k) and cached.  Wider weights go to the pair-count
+closed form (d = 2) or the capped-multiset kernel.
 """
 
 from __future__ import annotations
 
-from .kernels import count_capped_multisets
+from functools import lru_cache
+from math import comb
+
+import numpy as np
+
+from .kernels import _INT64_SAFE, count_capped_multisets, resolve_backend
 from .partitions import (
     Partition,
     WeightVector,
@@ -61,11 +74,38 @@ def _pair_weight_count(k: int, mu: WeightVector) -> int:
     return (ordered + diagonal) // 2
 
 
+@lru_cache(maxsize=128)
+def _gaussian_half_row(d: int, k: int) -> np.ndarray:
+    """Coefficients of q^0..q^(dk//2) in the Gaussian binomial [d+k choose d]_q.
+
+    The product of (1 - q^(k+i)) / (1 - q^i) over i = 1..d, truncated at the
+    middle of the symmetric row: each factor is a shifted subtraction followed
+    by a prefix sum of stride i.  Every partial product is a Gaussian
+    binomial [k+i choose i]_q, so no intermediate exceeds comb(d+k, d) in
+    absolute value and int64 is exact below the kernel's 2**62 bound; larger
+    rows are kept as exact Python integers.
+    """
+    size = d * k // 2 + 1
+    dtype = np.int64 if comb(d + k, d) < _INT64_SAFE else object
+    row = np.zeros(size, dtype=dtype)
+    row[0] = 1
+    for i in range(1, d + 1):
+        shift = k + i
+        if shift < size:
+            row[shift:] = row[shift:] - row[: size - shift]
+        # a column of the (-1, i) reshape is one residue class mod i
+        padded = np.concatenate((row, np.zeros(-size % i, dtype=dtype)))
+        row = np.cumsum(padded.reshape(-1, i), axis=0).ravel()[:size]
+    row.flags.writeable = False  # shared by every caller through the cache
+    return row
+
+
 def weight_count(d: int, k: int, n: int, mu: WeightVector, backend: str | None = None) -> int:
     """Dimension of the mu-weight space of S^d(S^k C^n).
 
     Negative entries or a wrong total simply give 0; the alternating Weyl sum
-    relies on that convention.
+    relies on that convention.  One and two variables take closed forms (see
+    the module docstring) and never reach the kernel.
     """
     if n < 1:
         raise ValueError("need at least one variable")
@@ -77,6 +117,10 @@ def weight_count(d: int, k: int, n: int, mu: WeightVector, backend: str | None =
         return 0
     if d == 0 or d == 1:
         return 1  # empty multiset, or mu itself is the single content
+    if n == 1:
+        return 1  # d copies of the single content (k,)
+    if n == 2:
+        return int(_gaussian_half_row(d, k)[min(mu)])
     if d == 2:
         return _pair_weight_count(k, mu)
     # One coordinate is redundant (contents all have total k); dropping the
@@ -94,8 +138,11 @@ def plethysm_multiplicity(d: int, k: int, lam: Partition, backend: str | None = 
     """The multiplicity of S^lam in S^d(S^k); 0 whenever |lam| != d*k.
 
     The number of variables is the declared length of lam (including written
-    zeros); padding lam with further zeros never changes the result.
+    zeros); padding lam with further zeros never changes the result.  An
+    unknown backend is rejected on every path, including those that never
+    reach the kernel.
     """
+    backend = resolve_backend(backend)
     if d < 1:
         raise ValueError("outer power d must be positive")
     if k < 0:

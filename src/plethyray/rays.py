@@ -96,6 +96,23 @@ def extract_quasipoly(
     return fit(list(enumerate(samples)), period_hint, degree_hint)
 
 
+def _differences_vanish(values: list[int], period: int, degree: int) -> bool:
+    """Whether every residue class mod period of values is a polynomial of degree <= degree.
+
+    Exact for integer samples at s = 0, 1, 2, ...: on each class the
+    (degree+1)-th differences at step period must all be zero.  A class too
+    short to have such a difference passes; class lengths differ by at most
+    one, so then every class passes and fit sees the short class (and raises).
+    """
+    for start in range(period):
+        column = values[start::period]
+        for _ in range(degree + 1):
+            column = [b - a for a, b in zip(column, column[1:])]
+        if any(column):
+            return False
+    return True
+
+
 def discover_quasipoly(
     spec: RaySpec,
     s_max: int,
@@ -106,22 +123,32 @@ def discover_quasipoly(
 ) -> tuple[QuasiPolynomial, int, int] | FitFailure:
     """Try periods from the ladder and degrees from 0 up; first validated fit wins.
 
-    Returns (qp, period, degree) or the last FitFailure when nothing in the
-    ladder validates.
+    Returns (qp, period, degree) or the FitFailure of the last (period,
+    degree) tried when nothing in the ladder validates.  Integer samples are
+    screened with exact finite differences (``_differences_vanish``), so
+    ``fit`` runs once: on the first pair that passes, where it interpolates
+    and validates every sample, or on the last pair tried, to report its
+    failure.  Other samples go through ``fit`` at every pair.
     """
     if samples is None:
         samples = sample_ray(spec, s_max, backend=backend)
     pairs = list(enumerate(samples))
-    last: FitFailure | None = None
+    values = [value for _, value in pairs]
+    screen = all(type(value) is int for value in values)
+    last: tuple[int, int] | None = None
     for period in periods:
         for degree in range(max_degree + 1):
             if s_max < period * (degree + 2):
                 continue
+            last = (period, degree)
+            if screen and period >= 1 and not _differences_vanish(values, period, degree):
+                continue
             result = fit(pairs, period, degree)
             if isinstance(result, QuasiPolynomial):
                 return result, period, degree
-            last = result
-    return last if last is not None else FitFailure(0, 0, 0)  # pragma: no cover
+    if last is None:
+        return FitFailure(0, 0, 0)  # pragma: no cover
+    return fit(pairs, *last)
 
 
 def verify_theorem_ray(

@@ -7,9 +7,7 @@ shares code paths with the package internals it checks.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
-
-from plethyray import Partition, inner_monomial_contents
+from itertools import combinations_with_replacement, product
 
 
 def partitions_of(total, max_parts=None):
@@ -30,11 +28,16 @@ def partitions_of(total, max_parts=None):
     yield from rec(total, total, [])
 
 
+def monomial_exponents(k, n):
+    """Exponent vectors of the degree-k monomials in n variables, by filtering a grid."""
+    return [e for e in product(range(k + 1), repeat=n) if sum(e) == k]
+
+
 def brute_weight_count(d, k, n, mu):
     """Count size-d multisets of degree-k contents summing to mu by enumeration."""
     if any(m < 0 for m in mu) or sum(mu) != d * k:
         return 0
-    contents = inner_monomial_contents(k, n)
+    contents = monomial_exponents(k, n)
     total = 0
     for combo in combinations_with_replacement(contents, d):
         if tuple(sum(col) for col in zip(*combo)) == tuple(mu):
@@ -45,7 +48,7 @@ def brute_weight_count(d, k, n, mu):
 def brute_character(d, k, n):
     """Weight-multiplicity dict of S^d(S^k C^n) by full multiset enumeration."""
     out = {}
-    contents = inner_monomial_contents(k, n)
+    contents = monomial_exponents(k, n)
     for combo in combinations_with_replacement(contents, d):
         key = tuple(sum(col) for col in zip(*combo))
         out[key] = out.get(key, 0) + 1
@@ -102,12 +105,15 @@ def schur_expand(character, n):
             char[key] = char.get(key, 0) - c * val
 
 
-def oracle_multiplicity(d, k, lam: Partition):
-    """Stable plethysm multiplicity from the tableau-based Schur expansion."""
-    n = max(len(lam.stripped()), 1)
+def oracle_multiplicity(d, k, lam):
+    """Stable plethysm multiplicity from the tableau-based Schur expansion.
+
+    Only ``lam.parts`` is read (a weakly decreasing tuple, as in Partition).
+    """
+    nonzero = tuple(p for p in lam.parts if p > 0)
+    n = max(len(nonzero), 1)
     mults = schur_expand(brute_character(d, k, n), n)
-    key = lam.padded(n)
-    return mults.get(tuple(key), 0)
+    return mults.get(nonzero + (0,) * (n - len(nonzero)), 0)
 
 
 def brute_interval_count(lo: Fraction, hi: Fraction) -> int:

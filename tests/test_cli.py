@@ -224,6 +224,23 @@ def test_scan_rejects_non_integer_workers(capsys, monkeypatch):
     assert err.startswith("error:") and "PLETHYRAY_WORKERS" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("plethysm", "3", "4", "7,5,0"),
+        ("plethysm", "3", "4", "7,4"),  # size mismatch: no multiplicity is computed
+        ("ray", "outer", "3", "4", "7,5,0", "--smax", "12"),
+        ("scan", "--rows", "2", "--max-boxes", "4"),
+        ("verify-paper",),
+    ],
+)
+def test_bad_backend_is_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("PLETHYRAY_BACKEND", "bogus")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "PLETHYRAY_BACKEND" in err and "bogus" in err
+
+
 def test_scan_csv_is_rfc4180(tmp_path, capsys):
     out_file = tmp_path / "scan.csv"
     code, _, _ = run(capsys, "scan", "--rows", "1", "--max-boxes", "4",

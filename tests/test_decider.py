@@ -337,6 +337,20 @@ def test_replay_rejects_non_integer_values():
     assert replay_certificate(cert, shifted) is False
 
 
+def test_replay_rejects_unknown_form():
+    two = QuasiPolynomial.constant(2)
+    homog = decide_homogeneous_1d(two, s_max=8).certificate
+    assert homog.kind == "branch" and replay_certificate(homog, two)
+    assert replay_certificate(replace(homog, form="bogus"), two) is False
+    phi = phi_reference()
+    inhom = decide_inhomogeneous_1d(phi).certificate
+    assert inhom.form == INHOMOGENEOUS and replay_certificate(inhom, phi)
+    mixed = QuasiPolynomial(2, [[0, 1], [0, 2]])
+    slope = decide_inhomogeneous_1d(mixed, s_max=8).certificate
+    assert slope.kind == "slope" and replay_certificate(slope, mixed)
+    assert replay_certificate(replace(slope, form="bogus"), mixed) is False
+
+
 def test_replay_lets_internal_errors_through(monkeypatch):
     # a fault in the replayer must not read as a rejected proof
     phi = phi_reference()

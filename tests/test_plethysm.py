@@ -10,6 +10,8 @@ from plethyray import (
     weight_count,
     weyl_dimension,
 )
+from plethyray.kernels import count_capped_multisets
+from plethyray.plethysm import _gaussian_half_row
 from oracle_utils import brute_weight_count, oracle_multiplicity, partitions_of
 
 
@@ -186,3 +188,51 @@ def test_backends_agree_on_scaled_ray_points():
             for b in backends
         }
         assert len(set(values.values())) == 1, (s, values)
+
+
+def test_two_variable_weight_count_matches_brute_force():
+    for d in range(1, 7):
+        for k in range(1, 7):
+            for j in range(d * k + 1):
+                mu = (d * k - j, j)
+                assert weight_count(d, k, 2, mu) == brute_weight_count(d, k, 2, mu), (d, k, mu)
+
+
+def test_two_row_closed_form_matches_three_variable_count():
+    # a written zero part moves the query to three variables: pair count or kernel
+    for d in range(1, 13):
+        for k in range(1, 12 // d + 1):
+            total = d * k
+            for b in range(total // 2 + 1):
+                two = plethysm_multiplicity(d, k, Partition((total - b, b)))
+                three = plethysm_multiplicity(d, k, Partition((total - b, b, 0)))
+                assert two == three, (d, k, b)
+
+
+@pytest.mark.parametrize("d,k,dtype", [(32, 33, "int64"), (33, 33, "object")])
+def test_gaussian_rows_match_python_kernel_at_the_int64_bound(d, k, dtype):
+    # comb(65, 32) < 2**62 <= comb(66, 33): the two sides of the exactness bound
+    assert (comb(d + k, d) >= 2**62) == (dtype == "object")
+    assert _gaussian_half_row(d, k).dtype == dtype
+    contents = [(a,) for a in range(k + 1)]
+    for j in (0, 1, 7, 100, 400, d * k // 2):
+        expected = count_capped_multisets(contents, d, (j,), backend="python")
+        assert weight_count(d, k, 2, (d * k - j, j)) == expected, j
+        assert weight_count(d, k, 2, (j, d * k - j)) == expected, j
+
+
+def test_weight_count_returns_int_and_row_cache_is_bounded():
+    for d, k in [(3, 4), (33, 33)]:
+        assert type(weight_count(d, k, 2, (d * k - 5, 5))) is int
+    assert type(weight_count(3, 4, 1, (12,))) is int
+    assert _gaussian_half_row.cache_info().maxsize == 128
+    for k in range(1, 201):
+        weight_count(2, k, 2, (k, k))
+    assert _gaussian_half_row.cache_info().currsize <= 128
+
+
+def test_unknown_backend_rejected_on_every_path():
+    for d, k, lam in [(2, 3, (4, 2)), (3, 2, (4, 2)), (3, 2, (6,)), (2, 2, (2, 1, 1)),
+                      (3, 2, (2, 2, 2)), (3, 2, (5,))]:
+        with pytest.raises(ValueError, match="bogus"):
+            plethysm_multiplicity(d, k, Partition(lam), backend="bogus")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from plethyray import (
     FitFailure,
+    fit,
     Partition,
     QuasiPolynomial,
     RaySpec,
@@ -15,6 +16,7 @@ from plethyray import (
     scale,
     verify_theorem_ray,
 )
+from plethyray.rays import PERIOD_LADDER
 
 
 THEOREM_LAM = Partition((7, 5, 0))
@@ -113,6 +115,86 @@ def test_discover_quasipoly_walks_ladder():
     qp, period, degree = got
     assert (period, degree) == (2, 0)
     assert [qp.eval(s) for s in range(4)] == [1, 0, 1, 0]
+
+
+def ladder_over_fit(samples, s_max, periods=PERIOD_LADDER, max_degree=4):
+    """The ladder without the finite-difference screen: fit at every (period, degree)."""
+    pairs = list(enumerate(samples))
+    last = None
+    for period in periods:
+        for degree in range(max_degree + 1):
+            if s_max < period * (degree + 2):
+                continue
+            result = fit(pairs, period, degree)
+            if isinstance(result, QuasiPolynomial):
+                return result, period, degree
+            last = result
+    return last if last is not None else FitFailure(0, 0, 0)
+
+
+def outcome_or_error(call):
+    try:
+        return call()
+    except Exception as exc:  # the exact error is part of the contract
+        return type(exc), str(exc)
+
+
+def scan12_specs():
+    for d in range(2, 7):
+        for k in range(2, 12 // d + 1):
+            total = d * k
+            for b in range(total // 2 + 1):
+                yield RaySpec("outer", d, k, Partition((total - b, b) if b else (total,)))
+
+
+def test_discover_quasipoly_matches_fit_ladder_on_scan12_rays():
+    specs = list(scan12_specs())
+    assert len(specs) == 66
+    for spec in specs:
+        samples = sample_ray(spec, 72)
+        got = discover_quasipoly(spec, 72, samples=samples)
+        assert got == ladder_over_fit(samples, 72), spec
+
+
+PHI_SAMPLES = [int(phi_reference().eval(s)) for s in range(37)]
+ANY_SPEC = RaySpec("outer", 3, 4, THEOREM_LAM)
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        [s**3 - 2 * s + 5 for s in range(31)],
+        PHI_SAMPLES,
+        PHI_SAMPLES[:-1] + [PHI_SAMPLES[-1] + 1],
+        [2**s for s in range(31)],
+        [7] * 5,
+        [Fraction(s, 2) for s in range(25)],
+    ],
+    ids=["cubic", "phi", "phi-bumped", "powers-of-two", "constant-short", "fractions"],
+)
+def test_discover_quasipoly_matches_fit_ladder_on_sequences(samples):
+    s_max = len(samples) - 1
+    got = discover_quasipoly(ANY_SPEC, s_max, samples=samples)
+    assert got == ladder_over_fit(samples, s_max)
+    if samples is PHI_SAMPLES:
+        assert got == (phi_reference(), 6, 1)
+
+
+@pytest.mark.parametrize(
+    "samples,s_max,periods",
+    [
+        (PHI_SAMPLES, 36, (0, 1)),  # period 0
+        (PHI_SAMPLES, 36, (-2,)),  # negative period
+        (PHI_SAMPLES[:7], 36, PERIOD_LADDER),  # fewer samples than s_max promises
+        (PHI_SAMPLES[:-1] + [None], 36, PERIOD_LADDER),
+        (PHI_SAMPLES[:-1] + ["x"], 36, PERIOD_LADDER),
+    ],
+    ids=["period-zero", "period-negative", "short", "none", "text"],
+)
+def test_discover_quasipoly_malformed_inputs_fail_as_the_fit_ladder(samples, s_max, periods):
+    got = outcome_or_error(
+        lambda: discover_quasipoly(ANY_SPEC, s_max, periods=periods, samples=samples))
+    assert got == outcome_or_error(lambda: ladder_over_fit(samples, s_max, periods=periods))
 
 
 def test_verify_theorem_ray_passes():
