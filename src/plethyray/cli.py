@@ -82,6 +82,10 @@ def _check_backend() -> None:
 def cmd_plethysm(args: argparse.Namespace) -> int:
     _check_backend()
     lam = _parse_partition(args.partition)
+    if args.d < 1:
+        return _usage_error("d must be positive")
+    if args.k < 0:
+        return _usage_error("k must be nonnegative")
     if lam.size != args.d * args.k:
         print(
             f"warning: |lambda| = {lam.size} != d*k = {args.d * args.k}; multiplicity is 0",
@@ -102,6 +106,8 @@ def cmd_ray(args: argparse.Namespace) -> int:
         return _usage_error(str(exc))
     if (args.period is None) != (args.degree is None):
         return _usage_error("--period and --degree must be given together")
+    if args.smax < 0:
+        return _usage_error("--smax must be nonnegative")
     samples = sample_ray(spec, args.smax)
     failures: list[str] = []
     fitted = None
@@ -117,7 +123,10 @@ def cmd_ray(args: argparse.Namespace) -> int:
         else:
             fitted, period, degree = result, args.period, args.degree
     else:
-        result = discover_quasipoly(spec, args.smax, samples=samples)
+        try:
+            result = discover_quasipoly(spec, args.smax, samples=samples)
+        except ValueError as exc:
+            return _usage_error(str(exc))
         if isinstance(result, FitFailure):
             failures.append(str(result))
         else:
@@ -152,6 +161,9 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 def cmd_verify_paper(args: argparse.Namespace) -> int:
     _check_backend()
+    for option, value in (("--smax-outer", args.smax_outer), ("--smax-inner", args.smax_inner)):
+        if value < 0:
+            return _usage_error(f"{option} must be nonnegative")
     reference = phi_reference()
     if args.reference_qp is not None:
         try:
@@ -269,7 +281,10 @@ def _scan_one(job: tuple[int, int, str, str, int]) -> list[dict]:
     lam = Partition.parse(lam_text)
     spec = RaySpec("outer", d, k, lam)
     samples = sample_ray(spec, s_max)
-    found = discover_quasipoly(spec, s_max, samples=samples)
+    try:
+        found = discover_quasipoly(spec, s_max, samples=samples)
+    except ValueError as exc:  # s_max too short for every pair of the ladder
+        raise UsageError(str(exc)) from exc
     forms = ["inhomogeneous", "homogeneous"] if form == "both" else [form]
     base = {"d": d, "k": k, "lambda": lam_text, "mode": "outer"}
     if isinstance(found, FitFailure):
@@ -313,6 +328,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
         workers = int(os.environ.get(ENV_WORKERS, "1"))
     except ValueError:
         return _usage_error(f"{ENV_WORKERS} must be an integer, got {os.environ[ENV_WORKERS]!r}")
+    if args.smax < 0:
+        return _usage_error("--smax must be nonnegative")
     jobs = []
     for d in range(2, args.max_boxes // 2 + 1):
         for k in range(2, args.max_boxes // d + 1):

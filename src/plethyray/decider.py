@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil, gcd, lcm
 from typing import NamedTuple
 
 from .feasibility import (
@@ -282,10 +282,6 @@ def _intersect(a: Bound, b: Bound) -> Bound | None:
     return Bound(lo, lo_strict, hi, hi_strict)
 
 
-_FULL_LINE = Bound(None, False, None, False)
-_POINT_ZERO = Bound(Fraction(0), False, Fraction(0), False)
-
-
 def _phase_e(
     q: QuasiPolynomial,
     form: str,
@@ -298,41 +294,49 @@ def _phase_e(
     is a product of a c-interval and a cbar-interval, so the search is plain
     exact interval arithmetic.  Branches at count 0 additionally pin the raw
     count to 0, which keeps the sampled family periodically certifiable.
+
+    Every endpoint is a multiple of 1/unit, so the boxes hold integers in
+    units of 1/unit and only the surviving ones become Fractions.
     """
     p = q.period
     grid = p * denom_multiplier
+    unit = lcm(grid, growth.denominator)
+    rise = growth.numerator * (unit // growth.denominator)  # growth in units
     s1 = _first_all_positive(q, growth)
+    targets: list[int] = []  # q(s), evaluated once per s for all slopes
     # coarse slopes first: small certification periods have short windows and
     # cover every family certifiable at the declared period
-    candidates = sorted(range(grid), key=lambda j: (lcm(p, Fraction(j, grid).denominator), j))
+    candidates = sorted(range(grid), key=lambda j: (lcm(p, grid // gcd(j, grid)), j))
     for j in candidates:
         b0 = Fraction(j, grid)
+        slope = j * (unit // grid)  # b0 in units
         p_prime = lcm(p, b0.denominator)
         window = max(2 * p_prime, s1 + p_prime)
         if form == INHOMOGENEOUS:
-            boxes = [(Bound(Fraction(0), True, Fraction(1), False), _FULL_LINE)]
+            boxes = [(Bound(0, True, unit, False), Bound(None, False, None, False))]
         else:
-            boxes = [(_POINT_ZERO, _POINT_ZERO)]
+            boxes = [(Bound(0, False, 0, False), Bound(0, False, 0, False))]
         for s in range(window + 1):
-            target = q.eval_int(s)
+            if s == len(targets):
+                targets.append(q.eval_int(s))
+            target = targets[s]
+            lift = s * slope
             new_boxes = []
             for c_int, cbar_int in boxes:
-                low = s * b0 + c_int.lo
-                high = s * b0 + c_int.hi
-                if c_int.lo_strict and low.denominator == 1:
-                    m_min = int(low) + 1
+                low = lift + c_int.lo
+                if c_int.lo_strict and low % unit == 0:
+                    m_min = low // unit + 1
                 else:
-                    m_min = ceil(low)
-                for m in range(m_min, ceil(high) + 1):
-                    new_c = _intersect(
-                        c_int, Bound(m - 1 - s * b0, True, m - s * b0, False)
-                    )
+                    m_min = -(-low // unit)
+                for m in range(m_min, -(-(lift + c_int.hi) // unit) + 1):
+                    top = m * unit - lift
+                    new_c = _intersect(c_int, Bound(top - unit, True, top, False))
                     if new_c is None:
                         continue
                     # floor(upper endpoint) = m + target - 1; at target 0 this
                     # pins the raw count to exactly 0 (strengthened zero branch)
-                    base = m + target - 1 - s * b0 - s * growth
-                    new_cbar = _intersect(cbar_int, Bound(base, False, base + 1, True))
+                    base = top + (target - 1) * unit - s * rise
+                    new_cbar = _intersect(cbar_int, Bound(base, False, base + unit, True))
                     if new_cbar is None:
                         continue
                     new_boxes.append((new_c, new_cbar))
@@ -340,8 +344,8 @@ def _phase_e(
             if not boxes:
                 break
         for c_int, cbar_int in boxes:
-            c_val = _pick_in_bound(c_int)
-            cbar_val = _pick_in_bound(cbar_int)
+            c_val = _pick_in_bound(_in_fractions(c_int, unit))
+            cbar_val = _pick_in_bound(_in_fractions(cbar_int, unit))
             fam = ShiftedIntervalFamily(b0, c_val, b0 + growth, cbar_val)
             qp = periodic_count_qp(fam, p_prime)
             if not isinstance(qp, QuasiPolynomial) or not same_function(qp, q):
@@ -349,6 +353,17 @@ def _phase_e(
             if all(count(fam, t) == q.eval_int(t) for t in range(2 * max(p, p_prime) + 1)):
                 return fam
     return None
+
+
+def _in_fractions(bound: Bound, unit: int) -> Bound:
+    """A bound held in integer units of 1/unit, as Fractions."""
+    lo, lo_strict, hi, hi_strict = bound
+    return Bound(
+        None if lo is None else Fraction(lo, unit),
+        lo_strict,
+        None if hi is None else Fraction(hi, unit),
+        hi_strict,
+    )
 
 
 def _validate_input(q: QuasiPolynomial, s_max: int) -> None:

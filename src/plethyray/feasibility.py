@@ -18,7 +18,7 @@ machine integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple
@@ -178,18 +178,21 @@ _CONTRADICTION = Constraint((0,) * NUM_VARS, Fraction(-1), False)
 @dataclass(frozen=True)
 class LinearSystem3:
     constraints: tuple[Constraint, ...] = ()
+    # set by extended(), which has just decided feasibility; None means unknown
+    known_feasible: bool | None = field(default=None, compare=False, repr=False)
 
     def extended(self, new: Iterable[Constraint]) -> "LinearSystem3":
         """The system with extra constraints, reduced to an irredundant one.
 
-        An infeasible result is the explicit contradiction 0 <= -1, so that
-        feasible() reports it at once; otherwise every constraint implied by
-        the others is dropped.  The solution set is unchanged either way.
+        An infeasible result is the explicit contradiction 0 <= -1; otherwise
+        every constraint implied by the others is dropped.  The solution set
+        is unchanged either way, and the result records its feasibility, so
+        feasible() answers it without another elimination.
         """
         deduped = _dedupe(self.constraints + tuple(new))
         if deduped is None or not _satisfiable(deduped):
-            return LinearSystem3((_CONTRADICTION,))
-        return LinearSystem3(tuple(_irredundant(deduped)))
+            return LinearSystem3((_CONTRADICTION,), known_feasible=False)
+        return LinearSystem3(tuple(_irredundant(deduped)), known_feasible=True)
 
     def canonical_key(self) -> tuple:
         return tuple(sorted(self.constraints))
@@ -197,6 +200,8 @@ class LinearSystem3:
 
 def feasible(system: LinearSystem3) -> bool:
     """Whether some rational point satisfies every constraint."""
+    if system.known_feasible is not None:
+        return system.known_feasible
     return _satisfiable(system.constraints)
 
 

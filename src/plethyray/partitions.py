@@ -8,6 +8,7 @@ but are ignored by equality and hashing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, NamedTuple
 
@@ -123,40 +124,58 @@ def signed_weights(lam: Partition, n: int) -> list[SignedWeight]:
     return out
 
 
-def iter_nonnegative_signed_weights(lam: Partition, n: int):
-    """Yield exactly the signed weights whose entries are all nonnegative.
+@lru_cache(maxsize=256)
+def _surviving_permutations(
+    capped: tuple[int, ...],
+) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """The permutations whose weight w(lam+rho)-rho is nonnegative.
 
-    Equivalent to filtering signed_weights(lam, n) but without enumerating
-    all n! permutations: positions are filled by depth-first search and a
-    branch is cut as soon as an entry would go negative.  The skipped terms
-    contribute nothing to the alternating weight-count sum (negative weights
-    have empty weight spaces).
+    Each is given as (sign, ((j, i - j) for each position i)), where j is the
+    entry of lam + rho placed at position i, so that the weight's entry at i
+    is lam_j + i - j.
+
+    capped is lam with every part capped at n - 1: lam_j + i - j is negative
+    only when lam_j < j - i <= n - 1, so the survivors depend on nothing else.
+    Positions are filled by depth-first search, cutting a branch as soon as
+    an entry would go negative; the sign is the parity of the positions the
+    chosen indices held in the list of those still free.
     """
-    padded = lam.padded(n)
-    staircase = rho(n)
-    shifted = tuple(p + r for p, r in zip(padded, staircase))
-
-    used = [False] * n
+    n = len(capped)
+    out = []
     choice = [0] * n
 
-    def rec(pos: int, parity: int):
+    def rec(pos: int, free: list[int], parity: int) -> None:
         if pos == n:
-            perm = tuple(choice)
-            weight = tuple(shifted[perm[i]] - staircase[i] for i in range(n))
-            yield SignedWeight(1 if parity % 2 == 0 else -1, weight)
+            places = tuple((j, i - j) for i, j in enumerate(choice))
+            out.append((-1 if parity else 1, places))
             return
-        threshold = staircase[pos]
-        for j in range(n):
-            if used[j] or shifted[j] < threshold:
+        for index, j in enumerate(free):
+            if capped[j] + pos - j < 0:
                 continue
-            used[j] = True
             choice[pos] = j
-            # parity update: inserting j counts inversions against used smaller slots
-            inversions = sum(1 for i in range(pos) if choice[i] > j)
-            yield from rec(pos + 1, parity + inversions)
-            used[j] = False
+            rec(pos + 1, free[:index] + free[index + 1:], parity ^ (index & 1))
 
-    yield from rec(0, 0)
+    rec(0, list(range(n)), 0)
+    return tuple(out)
+
+
+def iter_nonnegative_signed_weights(lam: Partition, n: int) -> list[SignedWeight]:
+    """Exactly the signed weights whose entries are all nonnegative.
+
+    Equivalent to filtering signed_weights(lam, n) but without enumerating
+    all n! permutations: the surviving permutations come from a table cached
+    per pattern of parts capped at n - 1 (see _surviving_permutations).  The
+    skipped terms contribute nothing to the alternating weight-count sum
+    (negative weights have empty weight spaces).
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    padded = lam.padded(n)
+    table = _surviving_permutations(tuple(min(part, n - 1) for part in padded))
+    return [
+        SignedWeight(sign, tuple([padded[j] + offset for j, offset in places]))
+        for sign, places in table
+    ]
 
 
 def weyl_dimension(lam: Partition, n: int) -> int:

@@ -148,22 +148,38 @@ def phi_reference() -> QuasiPolynomial:
     return QuasiPolynomial(6, [[Fraction(rj, 3), Fraction(1, 3)] for rj in r])
 
 
-def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Exact Gaussian elimination; matrix must be square and invertible."""
-    n = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular interpolation system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+def _newton_row(window: list[tuple[int, Fraction]]) -> tuple[list[int], int]:
+    """Monomial coefficients of the interpolant through window, over one denominator.
+
+    Returns (coeffs, den) with integer coeffs, constant term first, such that
+    the polynomial is sum(coeffs[e] * s**e) / den.  Divided differences are
+    kept as integers over a per-level common denominator, the Newton form is
+    expanded by Horner's rule on coefficient lists, and nothing is reduced
+    until the caller builds its Fractions.
+    """
+    xs = [s for s, _ in window]
+    den = lcm(*[value.denominator for _, value in window])
+    level = [value.numerator * (den // value.denominator) for _, value in window]
+    newton = [level[0]]
+    scales = [1]  # newton[k] / (den * scales[k]) is the k-th divided difference
+    scale = 1
+    for k in range(1, len(xs)):
+        gaps = [xs[i + k] - xs[i] for i in range(len(level) - 1)]
+        step = lcm(*gaps)
+        level = [(b - a) * (step // gap) for a, b, gap in zip(level, level[1:], gaps)]
+        scale *= step
+        newton.append(level[0])
+        scales.append(scale)
+    # p(s) * den * scale = sum_k newton[k] * (scale / scales[k]) * prod_{i<k} (s - xs[i])
+    top = len(newton) - 1
+    poly = [newton[top]]
+    for k in range(top - 1, -1, -1):
+        shifted = [0] + poly  # poly * s
+        for e, c in enumerate(poly):
+            shifted[e] -= xs[k] * c
+        shifted[0] += newton[k] * (scale // scales[k])
+        poly = shifted
+    return poly, den * scale
 
 
 def fit(
@@ -178,6 +194,10 @@ def fit(
     window, must be reproduced exactly, otherwise the first mismatching s is
     reported as a FitFailure.  Fewer than degree+1 samples in some class is a
     usage error and raises.
+
+    Each class's polynomial comes from Newton divided differences over its
+    window; validation runs in integers, by Horner's rule on the row scaled
+    to a common denominator.
     """
     if period < 1 or degree < 0:
         raise ValueError("period must be positive and degree nonnegative")
@@ -190,24 +210,27 @@ def fit(
             return FitFailure(s, value, table[s])
         table[s] = value
     points = sorted(table.items())
-    by_class: dict[int, list[tuple[int, Fraction]]] = {j: [] for j in range(period)}
-    for s, value in points:
-        by_class[s % period].append((s, value))
-    rows = []
+    by_class: list[list[tuple[int, Fraction]]] = [[] for _ in range(period)]
+    for point in points:
+        by_class[point[0] % period].append(point)
+    scaled = []
     for j in range(period):
         window = by_class[j][: degree + 1]
         if len(window) < degree + 1:
             raise ValueError(
                 f"residue class {j} mod {period} has {len(window)} samples, needs {degree + 1}"
             )
-        matrix = [[Fraction(s) ** e for e in range(degree + 1)] for s, _ in window]
-        rows.append(_solve_linear(matrix, [v for _, v in window]))
-    result = QuasiPolynomial(period, rows)
+        scaled.append(_newton_row(window))
     for s, value in points:
-        got = result.eval(s)
-        if got != value:
-            return FitFailure(s, value, got)
-    return result
+        coeffs, den = scaled[s % period]
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * s + c
+        if acc * value.denominator != value.numerator * den:
+            return FitFailure(s, value, Fraction(acc, den))
+    return QuasiPolynomial(
+        period, [[Fraction(c, den) for c in coeffs] for coeffs, den in scaled]
+    )
 
 
 def leading_coefficient(q: QuasiPolynomial) -> Fraction | None:

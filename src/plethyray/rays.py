@@ -124,7 +124,8 @@ def discover_quasipoly(
     """Try periods from the ladder and degrees from 0 up; first validated fit wins.
 
     Returns (qp, period, degree) or the FitFailure of the last (period,
-    degree) tried when nothing in the ladder validates.  Integer samples are
+    degree) tried when nothing in the ladder validates; raises ValueError
+    when s_max is too small to try any pair.  Integer samples are
     screened with exact finite differences (``_differences_vanish``), so
     ``fit`` runs once: on the first pair that passes, where it interpolates
     and validates every sample, or on the last pair tried, to report its
@@ -147,7 +148,10 @@ def discover_quasipoly(
             if isinstance(result, QuasiPolynomial):
                 return result, period, degree
     if last is None:
-        return FitFailure(0, 0, 0)  # pragma: no cover
+        raise ValueError(
+            f"s_max = {s_max} is too small for every (period, degree) of the ladder: "
+            "each needs s_max >= period*(degree+2)"
+        )
     return fit(pairs, *last)
 
 

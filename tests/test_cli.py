@@ -241,6 +241,25 @@ def test_bad_backend_is_usage_error(capsys, monkeypatch, argv):
     assert err.startswith("error:") and "PLETHYRAY_BACKEND" in err and "bogus" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ray", "outer", "3", "4", "7,5", "--smax", "-1"),
+        ("scan", "--smax", "-1"),
+        ("verify-paper", "--smax-outer", "-1"),
+        ("verify-paper", "--smax-inner", "-1"),
+        ("plethysm", "0", "4", "0"),
+        ("plethysm", "3", "-1", "0"),
+        ("ray", "outer", "2", "2", "3,1", "--smax", "1"),  # too short for any ladder pair
+        ("scan", "--max-boxes", "4", "--smax", "1"),
+    ],
+)
+def test_out_of_range_arguments_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_scan_csv_is_rfc4180(tmp_path, capsys):
     out_file = tmp_path / "scan.csv"
     code, _, _ = run(capsys, "scan", "--rows", "1", "--max-boxes", "4",

@@ -4,6 +4,7 @@ import random
 import pytest
 from dataclasses import replace
 from fractions import Fraction
+from math import ceil, lcm
 
 from plethyray import (
     DecisionOutcome,
@@ -18,21 +19,27 @@ from plethyray import (
     replay_certificate,
 )
 from plethyray import decider
+from plethyray import feasibility
 from plethyray.decider import (
+    HOMOGENEOUS,
     INHOMOGENEOUS,
     _first_all_positive,
+    _intersect,
+    _phase_e,
     _replay_branch,
     _replay_initial,
 )
 from plethyray.feasibility import (
+    Bound,
     Constraint,
     LinearSystem3,
+    _pick_in_bound,
     feasible,
     functional_bound,
     make_constraint,
     sample_point,
 )
-from plethyray.quasipoly import growth_rate
+from plethyray.quasipoly import growth_rate, same_function
 
 
 def third_half_qp():
@@ -498,3 +505,123 @@ def test_first_all_positive_closed_form_matches_scan():
     for q in cases:
         growth = growth_rate(q)
         assert _first_all_positive(q, growth) == first_all_positive_by_scan(q, growth)
+
+
+# --- feasibility recorded by extended ---------------------------------------
+
+
+def counting_eliminations(monkeypatch):
+    calls = []
+    real = feasibility._eliminate
+
+    def counted(constraints, var):
+        calls.append(var)
+        return real(constraints, var)
+
+    monkeypatch.setattr(feasibility, "_eliminate", counted)
+    return calls
+
+
+def test_feasible_trusts_extended_and_checks_hand_built_systems(monkeypatch):
+    box = normalization_box()
+    cut = box.extended([make_constraint((1, 1, 0), 1)])
+    empty = box.extended([make_constraint((-1, -1, 0), -2, strict=True)])
+    calls = counting_eliminations(monkeypatch)
+    assert feasible(cut) and not feasible(empty)
+    assert calls == []
+    # a system built by hand records nothing and is fully eliminated
+    assert feasible(LinearSystem3(cut.constraints))
+    assert calls == [2, 1, 0]
+    calls.clear()
+    split = LinearSystem3((make_constraint((1, 0, 0), 0), make_constraint((-1, 0, 0), -1)))
+    assert not feasible(split) and calls
+    # the recorded answer takes no part in equality
+    assert LinearSystem3(cut.constraints) == cut
+
+
+def test_branch_and_replay_feasibility_checks_make_no_elimination(monkeypatch):
+    # phase N and replay check children that extended has just settled
+    calls = counting_eliminations(monkeypatch)
+    inside = []
+
+    def checked(system):
+        before = len(calls)
+        ok = feasible(system)
+        inside.append(len(calls) - before)
+        return ok
+
+    monkeypatch.setattr(decider, "feasible", checked)
+    q = ladder_qp(6)
+    out = decide_inhomogeneous_1d(q)
+    assert out.verdict == "not_representable" and replay_certificate(out.certificate, q)
+    assert len(inside) == 2 * len(out.certificate.steps)
+    assert not any(inside)
+
+
+# --- the witness search in integer units against its Fraction form ----------
+
+
+def phase_e_in_fractions(q, form, growth, denom_multiplier):
+    """The witness search as it was, on Fraction boxes throughout."""
+    full_line = Bound(None, False, None, False)
+    point_zero = Bound(Fraction(0), False, Fraction(0), False)
+    p = q.period
+    grid = p * denom_multiplier
+    s1 = _first_all_positive(q, growth)
+    candidates = sorted(range(grid), key=lambda j: (lcm(p, Fraction(j, grid).denominator), j))
+    for j in candidates:
+        b0 = Fraction(j, grid)
+        p_prime = lcm(p, b0.denominator)
+        window = max(2 * p_prime, s1 + p_prime)
+        if form == INHOMOGENEOUS:
+            boxes = [(Bound(Fraction(0), True, Fraction(1), False), full_line)]
+        else:
+            boxes = [(point_zero, point_zero)]
+        for s in range(window + 1):
+            target = q.eval_int(s)
+            new_boxes = []
+            for c_int, cbar_int in boxes:
+                low = s * b0 + c_int.lo
+                high = s * b0 + c_int.hi
+                if c_int.lo_strict and low.denominator == 1:
+                    m_min = int(low) + 1
+                else:
+                    m_min = ceil(low)
+                for m in range(m_min, ceil(high) + 1):
+                    new_c = _intersect(
+                        c_int, Bound(m - 1 - s * b0, True, m - s * b0, False)
+                    )
+                    if new_c is None:
+                        continue
+                    base = m + target - 1 - s * b0 - s * growth
+                    new_cbar = _intersect(cbar_int, Bound(base, False, base + 1, True))
+                    if new_cbar is None:
+                        continue
+                    new_boxes.append((new_c, new_cbar))
+            boxes = new_boxes
+            if not boxes:
+                break
+        for c_int, cbar_int in boxes:
+            c_val = _pick_in_bound(c_int)
+            cbar_val = _pick_in_bound(cbar_int)
+            fam = ShiftedIntervalFamily(b0, c_val, b0 + growth, cbar_val)
+            qp = periodic_count_qp(fam, p_prime)
+            if not isinstance(qp, QuasiPolynomial) or not same_function(qp, q):
+                continue
+            if all(count(fam, t) == q.eval_int(t) for t in range(2 * max(p, p_prime) + 1)):
+                return fam
+    return None
+
+
+def test_integer_witness_search_matches_fraction_form():
+    inputs = [*fuzzed_quasipolynomials(), ladder_qp(6), ladder_qp(12), phi_reference(), PARITY]
+    found = 0
+    for q in inputs:
+        growth = growth_rate(q)
+        for form in (INHOMOGENEOUS, HOMOGENEOUS):
+            for denom_multiplier in range(1, 5):
+                witness = _phase_e(q, form, growth, denom_multiplier)
+                assert witness == phase_e_in_fractions(q, form, growth, denom_multiplier), \
+                    (q, form, denom_multiplier)
+                found += witness is not None
+    assert found > 0

@@ -1,8 +1,9 @@
 import pytest
+from itertools import combinations_with_replacement
 from math import comb, factorial
 
 from plethyray import Partition, rho, scale, signed_weights, weyl_dimension
-from plethyray.partitions import iter_nonnegative_signed_weights
+from plethyray.partitions import _surviving_permutations, iter_nonnegative_signed_weights
 
 
 def test_scale_theorem_ray():
@@ -84,6 +85,34 @@ def test_pruned_enumeration_matches_naive_filter():
         ]
         pruned = list(iter_nonnegative_signed_weights(Partition(lam), n))
         assert sorted(pruned) == sorted(naive)
+
+
+def test_cached_weyl_terms_match_naive_filter_exhaustively():
+    # every partition with parts <= 7 in n <= 6 variables, zeros included
+    checked = 0
+    for n in range(1, 7):
+        for parts in combinations_with_replacement(range(7, -1, -1), n):
+            lam = Partition(parts)
+            naive = [
+                sw for sw in signed_weights(lam, n)
+                if all(entry >= 0 for entry in sw.weight)
+            ]
+            assert sorted(iter_nonnegative_signed_weights(lam, n)) == sorted(naive), (parts, n)
+            checked += 1
+    assert checked == 3002
+
+
+def test_weyl_term_cache_is_bounded():
+    for n in range(1, 6):
+        for parts in combinations_with_replacement(range(9, -1, -1), n):
+            list(iter_nonnegative_signed_weights(Partition(parts), n))
+    info = _surviving_permutations.cache_info()
+    assert info.maxsize == 256 and info.currsize <= 256
+    # parts at or above n - 1 share one pattern: (9, 8) and (1, 1) hit the same entry
+    before = _surviving_permutations.cache_info().hits
+    list(iter_nonnegative_signed_weights(Partition((9, 8)), 2))
+    list(iter_nonnegative_signed_weights(Partition((1, 1)), 2))
+    assert _surviving_permutations.cache_info().hits >= before + 2
 
 
 def test_weyl_dimension_examples():

@@ -243,3 +243,118 @@ def test_json_round_trip_bit_exact():
     }
     back = QuasiPolynomial.from_json_dict(json.loads(json.dumps(data)))
     assert back == phi
+
+
+# --- fit against the Gaussian-elimination interpolation it replaced ---------
+
+
+def solve_linear_reference(matrix, rhs):
+    """Exact Gaussian elimination; matrix must be square and invertible."""
+    n = len(matrix)
+    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular interpolation system")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [aug[i][n] for i in range(n)]
+
+
+def fit_reference(samples, period, degree):
+    """fit as it was: a Vandermonde solve per class, Fraction validation."""
+    if period < 1 or degree < 0:
+        raise ValueError("period must be positive and degree nonnegative")
+    table = {}
+    for s, value in samples:
+        value = value if isinstance(value, Fraction) else Fraction(value)
+        if s < 0:
+            raise ValueError("samples must have nonnegative s")
+        if s in table and table[s] != value:
+            return FitFailure(s, value, table[s])
+        table[s] = value
+    points = sorted(table.items())
+    by_class = {j: [] for j in range(period)}
+    for s, value in points:
+        by_class[s % period].append((s, value))
+    rows = []
+    for j in range(period):
+        window = by_class[j][: degree + 1]
+        if len(window) < degree + 1:
+            raise ValueError(
+                f"residue class {j} mod {period} has {len(window)} samples, needs {degree + 1}"
+            )
+        matrix = [[Fraction(s) ** e for e in range(degree + 1)] for s, _ in window]
+        rows.append(solve_linear_reference(matrix, [v for _, v in window]))
+    result = QuasiPolynomial(period, rows)
+    for s, value in points:
+        got = result.eval(s)
+        if got != value:
+            return FitFailure(s, value, got)
+    return result
+
+
+def fit_outcome(fitter, samples, period, degree):
+    try:
+        result = fitter(samples, period, degree)
+    except ValueError as exc:
+        return ("raises", str(exc))
+    if isinstance(result, QuasiPolynomial):
+        return ("fits", result.period, result.rows)
+    return ("fails", result, type(result.expected), type(result.actual))
+
+
+def random_fit_input(rng):
+    """Samples of a random quasi-polynomial (sometimes bumped), free values,
+    or irregular s with Fraction values, repeats and a stray negative s."""
+    period = rng.randrange(1, 7)
+    degree = rng.randrange(0, 4)
+    kind = rng.randrange(3)
+    if kind == 0:
+        rows = [[Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(degree + 1)]
+                for _ in range(period)]
+        q = QuasiPolynomial(period, rows)
+        samples = [(s, q.eval(s)) for s in range(rng.randrange(period * (degree + 3) + 3))]
+        if samples and rng.random() < 0.3:
+            i = rng.randrange(len(samples))
+            samples[i] = (samples[i][0], samples[i][1] + rng.choice([1, Fraction(1, 2)]))
+    elif kind == 1:
+        points = sorted(rng.sample(range(40), rng.randrange(25)))
+        samples = [(s, rng.randrange(-5, 6)) for s in points]
+    else:
+        samples = [
+            (rng.randrange(30),
+             rng.choice([rng.randrange(-3, 4), Fraction(rng.randrange(-5, 6), rng.randrange(1, 5))]))
+            for _ in range(rng.randrange(30))
+        ]
+        if rng.random() < 0.1:
+            samples.append((-1, 0))
+    if rng.random() < 0.3:
+        rng.shuffle(samples)
+    return samples, period, degree
+
+
+def test_fit_matches_gaussian_elimination_reference():
+    rng = random.Random(4000)
+    kinds = set()
+    for _ in range(1500):
+        samples, period, degree = random_fit_input(rng)
+        expected = fit_outcome(fit_reference, samples, period, degree)
+        assert fit_outcome(fit, samples, period, degree) == expected, (samples, period, degree)
+        kinds.add(expected[0])
+    assert kinds == {"fits", "fails", "raises"}
+
+
+def test_fit_matches_reference_on_ladder_windows():
+    # the scan's widest pair: period 12, degree 4, on s = 0..72
+    for values in ([s * s // 7 + s // 3 for s in range(73)],
+                   [(s + (3, -1, 1, 0, 2, -2)[s % 6]) // 3 for s in range(73)]):
+        samples = list(enumerate(values))
+        for period, degree in ((12, 4), (6, 1), (4, 2), (1, 0)):
+            assert fit_outcome(fit, samples, period, degree) == \
+                fit_outcome(fit_reference, samples, period, degree)

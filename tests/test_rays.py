@@ -197,6 +197,14 @@ def test_discover_quasipoly_malformed_inputs_fail_as_the_fit_ladder(samples, s_m
     assert got == outcome_or_error(lambda: ladder_over_fit(samples, s_max, periods=periods))
 
 
+@pytest.mark.parametrize("s_max,periods", [(1, PERIOD_LADDER), (0, PERIOD_LADDER), (36, ())])
+def test_discover_quasipoly_without_a_ladder_pair_raises(s_max, periods):
+    # no (period, degree) fits the window: a usage error, not a made-up FitFailure
+    spec = RaySpec("outer", 2, 2, Partition((3, 1)))
+    with pytest.raises(ValueError, match="too small for every"):
+        discover_quasipoly(spec, s_max, periods=periods)
+
+
 def test_verify_theorem_ray_passes():
     report = verify_theorem_ray(12, 6)
     assert report["pass"]
