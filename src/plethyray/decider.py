@@ -14,12 +14,15 @@ witness by exact periodic counting.  When neither side concludes, the
 verdict is an honest "unknown".
 
 The witness search runs first and is fast (pinned slopes decouple the
-offsets into interval arithmetic).  In the nonexistence search every branch
-system is kept irredundant, so its size stays bounded (at most 8
+offsets into interval arithmetic).  In the nonexistence search every
+constraint involves (b, c), (b, cbar) or b alone, so each feasibility
+question is settled on one exact interval of b (see feasibility).  Every
+branch system is kept irredundant, so its size stays bounded (at most 8
 constraints on the stress ladder up to period 30) instead of growing with
-the window; the work is the number of branches times a small exact
-elimination.  Inputs that are in fact not representable tend to empty the
-disjunction within the first period or two.
+the window; the work is the number of branches times a few small integer
+shadows.  Inputs that are in fact not representable tend to empty the
+disjunction within the first period or two.  s_max must be at least 1 in
+both forms.
 """
 
 from __future__ import annotations
@@ -212,7 +215,7 @@ def _m_range(system: LinearSystem3, form: str, s: int) -> list[int] | None:
     """All integers m that can equal ceil of the lower endpoint; None if infeasible.
 
     Exact by construction: the functional's range over the polyhedron is
-    computed by full elimination with strictness tracking.
+    computed exactly, with strictness tracking.
     """
     bound = functional_bound(system, _lower_coeffs(form, s))
     if bound is None:
@@ -385,6 +388,8 @@ def _decide(
 ) -> DecisionOutcome:
     if s_max is None:
         s_max = 4 * q.period
+    if s_max < 1:
+        raise ValueError("s_max must be positive")
     if denom_multiplier < 1:
         raise ValueError("denom_multiplier must be positive")
     _validate_input(q, s_max)

@@ -1,19 +1,25 @@
 """Exact feasibility of rational linear inequality systems in three unknowns.
 
 Systems hold constraints a0*b + a1*c + a2*cbar (< or <=) rhs with a
-first-class strictness flag.  Feasibility, exact bounds of linear
-functionals, redundancy, and rational point extraction all run through one
-Fourier-Motzkin loop that eliminates cbar, then c, then b; a derived
-constraint is strict exactly when one of its parents is.
+first-class strictness flag.
 
-The decider's constraints each involve (b, c) or (b, cbar), never c and cbar
-together.  Eliminating the offsets before the shared slope b keeps the two
-groups apart, so pair products stay small; and extending a system keeps it
-irredundant, so it does not grow with the number of dilations seen.
+The decider's constraints each involve (b, c), (b, cbar) or b alone, never c
+and cbar together.  Feasibility of such a system is therefore the
+intersection of two 2-D shadows on the b axis: every lower bound on c is
+paired with every upper bound on c (likewise for cbar), each pair gives one
+bound on b, and the system is feasible exactly when those bounds and the
+b-only constraints fold into a non-empty interval.  Pairs and bounds are
+plain integer tuples compared by cross-multiplication.  `extended` keeps
+each system irredundant by one such shadow per negation test, so a system
+does not grow with the number of dilations seen; `functional_bound` pivots
+on the functional's last nonzero coordinate, which keeps the shape.  Both
+raise ValueError on a constraint or functional with both c and cbar.
 
-Coefficient vectors are kept as primitive integer tuples (the right-hand
-side stays an exact Fraction), which keeps the elimination inner loop in
-machine integers.
+A system built by hand rather than by `extended`, of any shape, is decided by
+one Fourier-Motzkin loop that eliminates cbar, then c, then b; a derived
+constraint is strict exactly when one of its parents is.  Coefficient
+vectors are kept as primitive integer tuples (the right-hand side stays an
+exact Fraction), which keeps the elimination inner loop in machine integers.
 """
 
 from __future__ import annotations
@@ -115,13 +121,12 @@ def _eliminate(constraints: list[Constraint], var: int) -> list[Constraint] | No
     return rest + deduped
 
 
-def _project(work: list[Constraint], keep: int | None = None) -> list[Constraint] | None:
-    """Eliminate every unknown but keep, in the order cbar, c, b; None if infeasible."""
+def _project(work: list[Constraint]) -> list[Constraint] | None:
+    """Eliminate every unknown, in the order cbar, c, b; None if infeasible."""
     for var in range(NUM_VARS - 1, -1, -1):
-        if var != keep:
-            work = _eliminate(work, var)
-            if work is None:
-                return None
+        work = _eliminate(work, var)
+        if work is None:
+            return None
     return work
 
 
@@ -135,9 +140,92 @@ def _satisfiable(constraints: Iterable[Constraint]) -> bool:
     return work is not None and not any(_violated(cons) for cons in work)
 
 
-def _negation(cons: Constraint) -> Constraint:
-    """a.x <= r becomes a.x > r, and a.x < r becomes a.x >= r."""
-    return Constraint(tuple(-a for a in cons.coeffs), -cons.rhs, not cons.strict)
+# --- the decider's shape: constraints on (b, c), on (b, cbar) or on b alone ---
+#
+# A row x*b + y*v (<|<=) num/den, where v is its group's offset (c or cbar;
+# y = 0 for b alone), is held as the integers (x, y, num, den, strict), den > 0.
+# A bound a*t (<|<=) num/den on one unknown t is held as (a, num, den, strict).
+# Groups are numbered 0 (b alone), 1 (b, c) and 2 (b, cbar).
+
+
+def _row(cons: Constraint) -> tuple[int, tuple]:
+    """The group of a constraint and its row; ValueError if it has c and cbar."""
+    b, c, cbar = cons.coeffs
+    if c and cbar:
+        raise ValueError(f"constraint {cons} involves both c and cbar")
+    rhs = cons.rhs
+    return (2 if cbar else 1 if c else 0), (
+        b, c or cbar, rhs.numerator, rhs.denominator, cons.strict)
+
+
+def _groups(rows: Iterable[tuple[int, tuple]]) -> list[list[tuple]]:
+    """The rows of each group, from (group, row) pairs."""
+    members: list[list[tuple]] = [[], [], []]
+    for group, row in rows:
+        members[group].append(row)
+    return members
+
+
+def _shadow(rows: list[tuple]) -> list[tuple]:
+    """Bounds on x of the rows' projection, eliminating y.
+
+    Every lower bound on y is paired with every upper bound on y; rows
+    without y pass through.  The pair is consistent exactly where its
+    bound holds, strict when either row is.
+    """
+    lowers, uppers, out = [], [], []
+    for row in rows:
+        y = row[1]
+        if y < 0:
+            lowers.append(row)
+        elif y > 0:
+            uppers.append(row)
+        else:
+            out.append((row[0], row[2], row[3], row[4]))
+    for xl, yl, nl, dl, sl in lowers:
+        for xu, yu, nu, du, su in uppers:
+            # -yl * upper + yu * lower cancels y
+            out.append((xu * -yl + xl * yu, nu * dl * -yl + nl * du * yu, dl * du, sl or su))
+    return out
+
+
+def _fold(bounds: Iterable[tuple]) -> list[tuple] | None:
+    """The interval of t the bounds allow; None if it is empty.
+
+    The interval comes back as at most two bounds, -t <= ... for its lower
+    end and t <= ... for its upper end.  Endpoints are compared by
+    cross-multiplication.
+    """
+    lo = hi = None  # (num, den, strict): t >= num/den and t <= num/den
+    for a, num, den, strict in bounds:
+        if a > 0:
+            den *= a
+            if hi is None:
+                hi = (num, den, strict)
+            else:
+                gap = num * hi[1] - hi[0] * den
+                if gap < 0 or (gap == 0 and strict):
+                    hi = (num, den, strict)
+        elif a < 0:
+            num, den = -num, -a * den
+            if lo is None:
+                lo = (num, den, strict)
+            else:
+                gap = num * lo[1] - lo[0] * den
+                if gap > 0 or (gap == 0 and strict):
+                    lo = (num, den, strict)
+        elif num < 0 or (num == 0 and strict):
+            return None
+    out = []
+    if lo is not None:
+        if hi is not None:
+            gap = hi[0] * lo[1] - lo[0] * hi[1]
+            if gap < 0 or (gap == 0 and (lo[2] or hi[2])):
+                return None
+        out.append((-1, -lo[0], lo[1], lo[2]))
+    if hi is not None:
+        out.append((1, hi[0], hi[1], hi[2]))
+    return out
 
 
 def _alone_on_its_side(cons: Constraint, rest: list[Constraint]) -> bool:
@@ -152,23 +240,42 @@ def _alone_on_its_side(cons: Constraint, rest: list[Constraint]) -> bool:
     )
 
 
-def _irredundant(constraints: list[Constraint]) -> list[Constraint]:
+def _irredundant(constraints: list[Constraint]) -> list[Constraint] | None:
     """Drop, one at a time, each constraint that the remaining ones imply.
 
-    Requires a feasible system.  A constraint is implied exactly when the
-    others plus its negation are infeasible.  A constraint kept at its turn
-    stays irredundant after later drops, since dropping only enlarges the
-    solution set of the others.
+    Returns None for an infeasible system.  A constraint is implied exactly
+    when the others plus its negation are infeasible.  Only the constraint's
+    own group differs in that test, so it is one shadow of that group,
+    folded with the cached intervals of b that the other two groups allow;
+    a group's interval is recomputed only when one of its constraints is
+    dropped.  A constraint kept at its turn stays irredundant after later
+    drops, since dropping only enlarges the solution set of the others.
     """
     kept = list(constraints)
+    rows = [_row(cons) for cons in kept]
+    members = _groups(rows)
+    allowed = [_fold(_shadow(group)) for group in members]
+    if None in allowed or _fold(allowed[0] + allowed[1] + allowed[2]) is None:
+        return None
     i = 0
     while i < len(kept):
         cons = kept[i]
         rest = kept[:i] + kept[i + 1:]
-        if _alone_on_its_side(cons, rest) or _satisfiable(rest + [_negation(cons)]):
+        if _alone_on_its_side(cons, rest):
+            i += 1
+            continue
+        group, row = rows[i]
+        x, y, num, den, strict = row
+        others = [other for other in members[group] if other is not row]
+        negation = (-x, -y, -num, den, not strict)
+        outside = [bound for g in range(3) if g != group for bound in allowed[g]]
+        if _fold(outside + _shadow(others + [negation])) is not None:
             i += 1
         else:
             kept = rest
+            del rows[i]
+            members[group] = others
+            allowed[group] = _fold(_shadow(others))
     return kept
 
 
@@ -184,22 +291,29 @@ class LinearSystem3:
     def extended(self, new: Iterable[Constraint]) -> "LinearSystem3":
         """The system with extra constraints, reduced to an irredundant one.
 
-        An infeasible result is the explicit contradiction 0 <= -1; otherwise
-        every constraint implied by the others is dropped.  The solution set
-        is unchanged either way, and the result records its feasibility, so
-        feasible() answers it without another elimination.
+        Every constraint must involve (b, c), (b, cbar) or b alone; one that
+        involves both c and cbar raises ValueError.  An infeasible result is
+        the explicit contradiction 0 <= -1; otherwise every constraint
+        implied by the others is dropped.  The solution set is unchanged
+        either way, and the result records its feasibility, so feasible()
+        answers it without another elimination.
         """
         deduped = _dedupe(self.constraints + tuple(new))
-        if deduped is None or not _satisfiable(deduped):
+        kept = None if deduped is None else _irredundant(deduped)
+        if kept is None:
             return LinearSystem3((_CONTRADICTION,), known_feasible=False)
-        return LinearSystem3(tuple(_irredundant(deduped)), known_feasible=True)
+        return LinearSystem3(tuple(kept), known_feasible=True)
 
     def canonical_key(self) -> tuple:
         return tuple(sorted(self.constraints))
 
 
 def feasible(system: LinearSystem3) -> bool:
-    """Whether some rational point satisfies every constraint."""
+    """Whether some rational point satisfies every constraint.
+
+    A system built by extended() carries its answer; any other one is
+    decided by full Fourier-Motzkin elimination, whatever its shape.
+    """
     if system.known_feasible is not None:
         return system.known_feasible
     return _satisfiable(system.constraints)
@@ -219,69 +333,65 @@ def functional_bound(
 ) -> Bound | None:
     """Range of coeffs . (b, c, cbar) over the system; None if infeasible.
 
-    A pivot coordinate with nonzero functional coefficient is replaced by
-    u = functional via an exact change of variables, then the remaining two
-    unknowns are eliminated in the usual order, projecting the solution set
-    onto u.
+    The system's constraints, and the functional, must not involve both c
+    and cbar (ValueError otherwise).  The functional's last nonzero
+    coordinate is replaced by u = functional via an exact change of
+    variables, which keeps every constraint on (b, u), (b, cbar) or b alone.
+    If u replaces b, its range is the interval of b.  Otherwise it is the
+    shadow on u of u's group over the interval of b that the other two
+    groups allow.
     """
     f = [_as_fraction(a) for a in coeffs]
     if len(f) != NUM_VARS:
         raise ValueError(f"expected {NUM_VARS} coefficients, got {len(f)}")
     scale = lcm(*[a.denominator for a in f])
     fi = [int(a * scale) for a in f]  # u = scale * (f . x)
+    if fi[1] and fi[2]:
+        raise ValueError(f"functional {tuple(f)} involves both c and cbar")
+    members = _groups(map(_row, system.constraints))
 
     if not any(fi):
         if not feasible(system):
             return None
         return Bound(Fraction(0), False, Fraction(0), False)
 
-    pivot = next(i for i in range(NUM_VARS) if fi[i] != 0)
+    pivot = 2 if fi[2] else 1 if fi[1] else 0
     p = fi[pivot]
     sgn = 1 if p > 0 else -1
     mag = abs(p)
 
-    # substitute x_pivot = (u - sum_{j != pivot} fi_j x_j) / p, scaled by |p|
-    work: list[Constraint] | None = []
-    for cons in system.constraints:
-        a = cons.coeffs
-        new = [mag * aj - sgn * a[pivot] * fj for aj, fj in zip(a, fi)]
-        new[pivot] = sgn * a[pivot]  # coefficient of u
-        work.append(_reduce(new, mag * cons.rhs, cons.strict))
-
-    work = _dedupe(work)
-    if work is None:
-        return None
-    work = _project(work, keep=pivot)
-    if work is None:
+    if pivot == 0:
+        interval = _fold(_shadow(members[0]) + _shadow(members[1]) + _shadow(members[2]))
+        if interval is None:
+            return None
+        # u = p * b: a*b <= r becomes sgn*a*u <= mag*r
+        u_range = _fold([(sgn * a, mag * num, den, strict)
+                         for a, num, den, strict in interval])
+    else:
+        interval = _fold(_shadow(members[0]) + _shadow(members[3 - pivot]))
+        if interval is None:
+            return None
+        # in u's group, substitute x_pivot = (u - fi[0]*b) / p, scaled by |p|;
+        # each row reads (coefficient of u, coefficient of b), and eliminating
+        # b against the interval of b leaves the bounds on u
+        rows = [(sgn * y, mag * x - sgn * y * fi[0], mag * num, den, strict)
+                for x, y, num, den, strict in members[pivot]]
+        rows += [(0, a, num, den, strict) for a, num, den, strict in interval]
+        u_range = _fold(_shadow(rows))
+    if u_range is None:
         return None
 
     lo: Fraction | None = None
     lo_strict = False
     hi: Fraction | None = None
     hi_strict = False
-    for cons in work:
-        a = cons.coeffs[pivot]
-        if a == 0:
-            if _violated(cons):
-                return None
-            continue
-        value = cons.rhs / a
-        if a > 0:
-            if hi is None or value < hi or (value == hi and cons.strict):
-                hi, hi_strict = value, cons.strict
-        else:
-            if lo is None or value > lo or (value == lo and cons.strict):
-                lo, lo_strict = value, cons.strict
-    if lo is not None and hi is not None:
-        if lo > hi or (lo == hi and (lo_strict or hi_strict)):
-            return None
     # u was scale * (f . x): rescale back
-    return Bound(
-        None if lo is None else lo / scale,
-        lo_strict,
-        None if hi is None else hi / scale,
-        hi_strict,
-    )
+    for a, num, den, strict in u_range:
+        if a < 0:
+            lo, lo_strict = Fraction(-num, den * scale), strict
+        else:
+            hi, hi_strict = Fraction(num, den * scale), strict
+    return Bound(lo, lo_strict, hi, hi_strict)
 
 
 def _pick_in_bound(bound: Bound) -> Fraction:

@@ -139,6 +139,17 @@ def test_decide_degree_two_exits_2(tmp_path, capsys):
     assert code == 2 and "degree" in err
 
 
+@pytest.mark.parametrize("smax", ["-1", "0"])
+@pytest.mark.parametrize("form", ["inhomogeneous", "homogeneous"])
+def test_decide_nonpositive_smax_is_usage_error(tmp_path, capsys, form, smax):
+    for name, qp in (("one", QuasiPolynomial.constant(1)), ("phi", phi_reference())):
+        qp_file = tmp_path / f"{name}.json"
+        qp_file.write_text(json.dumps(qp.to_json_dict()))
+        code, out, err = run(capsys, "decide", str(qp_file), "--form", form, "--smax", smax)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "s_max must be positive" in err
+
+
 def test_decide_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "decide", "/nonexistent/q.json")
     assert code == 2 and "error" in err

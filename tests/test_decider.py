@@ -70,6 +70,28 @@ def fuzzed_quasipolynomials():
         )
 
 
+def bumped_planted_families():
+    """Seeded period-p families, inhomogeneous and homogeneous, with one residue row raised by 1."""
+    rng = random.Random(2015)
+    out = []
+    while len(out) < 40:
+        p = rng.choice([1, 2, 3, 4, 6, 8, 12])
+        b = Fraction(rng.randrange(0, p), p)
+        gap = Fraction(rng.randrange(0, p + 1), p)
+        if len(out) % 2:
+            c = cbar = Fraction(0)
+        else:
+            c = Fraction(rng.randrange(-6, 7), rng.randrange(1, 7))
+            cbar = c + Fraction(rng.randrange(0, 13), rng.randrange(1, 7))
+        qp = periodic_count_qp(ShiftedIntervalFamily(b, c, b + gap, cbar), p)
+        if not isinstance(qp, QuasiPolynomial) or any(qp.eval(s) < 0 for s in range(p)):
+            continue
+        rows = [list(row) for row in qp.rows]
+        rows[rng.randrange(p)][0] += 1
+        out.append(QuasiPolynomial(p, rows))
+    return out
+
+
 def surviving_systems(q, steps):
     """The feasible branch systems at each s, rebuilt from a certificate's steps."""
     growth = growth_rate(q)
@@ -625,3 +647,205 @@ def test_integer_witness_search_matches_fraction_form():
                     (q, form, denom_multiplier)
                 found += witness is not None
     assert found > 0
+
+
+# --- s_max is refused below 1 in both forms ---------------------------------
+
+
+@pytest.mark.parametrize("s_max", [-1, 0])
+@pytest.mark.parametrize("decide", [decide_inhomogeneous_1d, decide_homogeneous_1d])
+def test_nonpositive_s_max_is_refused_in_both_forms(decide, s_max):
+    for q in (QuasiPolynomial.constant(1), phi_reference()):
+        with pytest.raises(ValueError, match="s_max must be positive"):
+            decide(q, s_max=s_max)
+
+
+# --- shadows on b against full Fourier-Motzkin ------------------------------
+
+
+def irredundant_reference(constraints):
+    """The redundancy pass as it was: a full elimination per negation test."""
+    kept = list(constraints)
+    i = 0
+    while i < len(kept):
+        cons = kept[i]
+        rest = kept[:i] + kept[i + 1:]
+        negation = Constraint(tuple(-a for a in cons.coeffs), -cons.rhs, not cons.strict)
+        if feasibility._alone_on_its_side(cons, rest) or \
+                feasibility._satisfiable(rest + [negation]):
+            i += 1
+        else:
+            kept = rest
+    return kept
+
+
+def extended_reference(system, new):
+    """(constraints, known_feasible) of extended as it was, on 3-variable elimination."""
+    deduped = feasibility._dedupe(system.constraints + tuple(new))
+    if deduped is None or not feasibility._satisfiable(deduped):
+        return (feasibility._CONTRADICTION,), False
+    return tuple(irredundant_reference(deduped)), True
+
+
+def functional_bound_reference(system, coeffs):
+    """functional_bound as it was: pivot on the first nonzero coordinate of the
+    functional, then eliminate the other two unknowns in the order cbar, c, b."""
+    f = [Fraction(a) for a in coeffs]
+    scale = lcm(*[a.denominator for a in f])
+    fi = [int(a * scale) for a in f]
+    if not any(fi):
+        if not feasibility._satisfiable(system.constraints):
+            return None
+        return Bound(Fraction(0), False, Fraction(0), False)
+    pivot = next(i for i in range(3) if fi[i] != 0)
+    p = fi[pivot]
+    sgn = 1 if p > 0 else -1
+    mag = abs(p)
+    work = []
+    for cons in system.constraints:
+        a = cons.coeffs
+        new = [mag * aj - sgn * a[pivot] * fj for aj, fj in zip(a, fi)]
+        new[pivot] = sgn * a[pivot]
+        work.append(feasibility._reduce(new, mag * cons.rhs, cons.strict))
+    work = feasibility._dedupe(work)
+    for var in (2, 1, 0):
+        if work is None:
+            return None
+        if var != pivot:
+            work = feasibility._eliminate(work, var)
+    if work is None:
+        return None
+    lo, lo_strict, hi, hi_strict = None, False, None, False
+    for cons in work:
+        a = cons.coeffs[pivot]
+        if a == 0:
+            if feasibility._violated(cons):
+                return None
+            continue
+        value = cons.rhs / a
+        if a > 0:
+            if hi is None or value < hi or (value == hi and cons.strict):
+                hi, hi_strict = value, cons.strict
+        elif lo is None or value > lo or (value == lo and cons.strict):
+            lo, lo_strict = value, cons.strict
+    if lo is not None and hi is not None:
+        if lo > hi or (lo == hi and (lo_strict or hi_strict)):
+            return None
+    return Bound(
+        None if lo is None else lo / scale, lo_strict,
+        None if hi is None else hi / scale, hi_strict,
+    )
+
+
+def recorded_feasibility_calls(monkeypatch, inputs,
+                               decides=(decide_inhomogeneous_1d, decide_homogeneous_1d)):
+    """Every distinct call of extended and of functional_bound, with its result,
+    made while deciding each input and replaying each certificate."""
+    extends, bounds = {}, {}
+    real_extended = LinearSystem3.extended
+    real_bound = decider.functional_bound
+
+    def extended(self, new):
+        new = tuple(new)
+        out = real_extended(self, new)
+        extends.setdefault((self.constraints, new), out)
+        return out
+
+    def bound(system, coeffs):
+        out = real_bound(system, coeffs)
+        bounds.setdefault((system.constraints, tuple(coeffs)), out)
+        return out
+
+    monkeypatch.setattr(LinearSystem3, "extended", extended)
+    monkeypatch.setattr(decider, "functional_bound", bound)
+    for q in inputs:
+        for decide in decides:
+            out = decide(q)
+            if out.certificate is not None:
+                assert replay_certificate(out.certificate, q)
+    monkeypatch.undo()
+    return extends, bounds
+
+
+def test_shadows_match_elimination_on_every_decider_system(monkeypatch):
+    inputs = [ladder_qp(p) for p in range(6, 31)]
+    inputs += [phi_reference(), *fuzzed_quasipolynomials(), *bumped_planted_families()]
+    extends, bounds = recorded_feasibility_calls(monkeypatch, inputs)
+    assert len(extends) > 3000 and len(bounds) > 2000
+    for (constraints, new), out in extends.items():
+        expected = extended_reference(LinearSystem3(constraints), new)
+        assert (out.constraints, out.known_feasible) == expected, (constraints, new)
+    for (constraints, coeffs), out in bounds.items():
+        assert out == functional_bound_reference(LinearSystem3(constraints), coeffs), \
+            (constraints, coeffs)
+
+
+def random_shaped_constraint(rng):
+    """b alone, (b, c), (b, cbar) or all-zero, with few right-hand sides so that ties are common."""
+    kind = rng.randrange(7)
+    coeffs = [rng.randint(-3, 3), 0, 0]
+    if kind in (1, 2, 3, 4):
+        coeffs[1 + kind % 2] = rng.choice((-2, -1, 1, 2))
+    elif kind == 5:
+        coeffs[0] = 0
+    rhs = rng.choice((-2, -1, 0, 0, Fraction(1, 2), 1, 1, Fraction(5, 3), 3))
+    return make_constraint(coeffs, rhs, strict=rng.random() < 0.4)
+
+
+def random_shaped_system(rng, size):
+    cons = []
+    while len(cons) < size:
+        one = random_shaped_constraint(rng)
+        cons.append(one)
+        if rng.random() < 0.2:  # an equality pair
+            cons.append(Constraint(tuple(-a for a in one.coeffs), -one.rhs, False))
+            cons[-2] = one._replace(strict=False)
+    return cons
+
+
+def test_shadows_match_elimination_on_random_shaped_systems():
+    rng = random.Random(4242)
+    functionals = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (-2, 0, 0), (3, 1, 0),
+                   (Fraction(1, 2), 0, Fraction(-2, 3)), (-1, Fraction(3, 4), 0), (0, -5, 0)]
+    seen = {"feasible": 0, "infeasible": 0, "unbounded": 0, "point": 0}
+    for _ in range(1500):
+        base = LinearSystem3(tuple(random_shaped_system(rng, rng.randrange(0, 6))))
+        new = random_shaped_system(rng, rng.randrange(0, 5))
+        out = base.extended(new)
+        assert (out.constraints, out.known_feasible) == extended_reference(base, new), (base, new)
+        seen["feasible" if out.known_feasible else "infeasible"] += 1
+        for system in (base, out):
+            for coeffs in functionals:
+                bound = functional_bound(system, coeffs)
+                assert bound == functional_bound_reference(system, coeffs), (system, coeffs)
+                if bound is not None:
+                    seen["unbounded"] += bound.lo is None or bound.hi is None
+                    seen["point"] += bound.lo is not None and bound.lo == bound.hi
+    assert min(seen.values()) > 100, seen
+
+
+def test_constraints_and_functionals_with_both_offsets_are_refused():
+    box = normalization_box()
+    mixed = make_constraint((0, 1, 1), 1)
+    with pytest.raises(ValueError, match="both c and cbar"):
+        box.extended([mixed])
+    with pytest.raises(ValueError, match="both c and cbar"):
+        functional_bound(box, (0, 1, -1))
+    with pytest.raises(ValueError, match="both c and cbar"):
+        functional_bound(LinearSystem3(box.constraints + (mixed,)), (1, 0, 0))
+    # a hand-built system of any shape is still decided by full elimination
+    assert feasible(LinearSystem3(box.constraints + (mixed,)))
+
+
+def test_branch_systems_stay_irredundant_in_both_forms(monkeypatch):
+    inputs = [ladder_qp(p) for p in (6, 12, 30)]
+    inputs += [phi_reference(), *fuzzed_quasipolynomials(), *bumped_planted_families()]
+    homogeneous, _ = recorded_feasibility_calls(monkeypatch, inputs, (decide_homogeneous_1d,))
+    planted, _ = recorded_feasibility_calls(monkeypatch, bumped_planted_families())
+    for extends in (homogeneous, planted):
+        systems = [sys for sys in extends.values() if sys.known_feasible]
+        assert len(systems) >= 40
+        for sys in systems:
+            cons = sys.constraints
+            assert len(cons) <= 8
+            assert not any(implied_by_others(cons, i) for i in range(len(cons)))
