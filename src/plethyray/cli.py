@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (or verdict decided), 1 verification failure, 2 usage
 error, 3 decider returned unknown.  All outputs are UTF-8 JSON except scan,
-which emits RFC-4180 CSV.  PLETHYRAY_WORKERS controls the scan worker pool;
-PLETHYRAY_BACKEND picks the weight-count kernel backend.
+which emits RFC-4180 CSV.  PLETHYRAY_WORKERS sets the size of the scan's
+worker pool, capped at the number of rays it scans.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .decider import (
     replay_certificate,
 )
 from .intervals import verify_sum_decomposition
-from .kernels import ENV_BACKEND, resolve_backend
 from .partitions import Partition
 from .plethysm import plethysm_multiplicity
 from .quasipoly import FitFailure, QuasiPolynomial, phi_reference, reciprocity_violations
@@ -71,16 +70,7 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
-def _check_backend() -> None:
-    """Reject a bad PLETHYRAY_BACKEND before any multiplicity is computed."""
-    try:
-        resolve_backend()
-    except ValueError as exc:
-        raise UsageError(f"{ENV_BACKEND}: {exc}") from exc
-
-
 def cmd_plethysm(args: argparse.Namespace) -> int:
-    _check_backend()
     lam = _parse_partition(args.partition)
     if args.d < 1:
         return _usage_error("d must be positive")
@@ -98,7 +88,6 @@ def cmd_plethysm(args: argparse.Namespace) -> int:
 
 
 def cmd_ray(args: argparse.Namespace) -> int:
-    _check_backend()
     lam = _parse_partition(args.partition)
     try:
         spec = RaySpec(args.mode, args.d, args.k, lam)
@@ -160,7 +149,6 @@ def cmd_decide(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_paper(args: argparse.Namespace) -> int:
-    _check_backend()
     for option, value in (("--smax-outer", args.smax_outer), ("--smax-inner", args.smax_inner)):
         if value < 0:
             return _usage_error(f"{option} must be nonnegative")
@@ -319,7 +307,6 @@ def _scan_one(job: tuple[int, int, str, str, int]) -> list[dict]:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    _check_backend()
     if args.rows not in (1, 2):
         return _usage_error("--rows must be 1 or 2")
     if args.form not in ("inhomogeneous", "homogeneous", "both"):
@@ -335,6 +322,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         for k in range(2, args.max_boxes // d + 1):
             for lam in _scan_partitions(d * k, args.rows):
                 jobs.append((d, k, str(lam), args.form, args.smax))
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_scan_one, jobs))

@@ -1,123 +1,30 @@
-"""Capped-multiset counting kernels.
+"""The capped-multiset counting kernel.
 
 The one hot loop in this package: count multisets of a fixed size d, drawn
 with repetition from a list of integer content vectors, whose coordinatewise
-sum equals a target vector.  Sampling a plethysm ray evaluates this dynamic
-program thousands of times with growing targets, so it carries machine-speed
-backends:
+sum equals a target vector.  It is a dynamic program over a numpy table, one
+axis for the multiset size and one per tracked coordinate, filled by
+vectorized shifted adds.
 
-* ``numba``  -- ``@njit`` kernels for one and two tracked coordinates (the
-  hot shapes; anything wider falls through to numpy);
-* ``numpy``  -- vectorized shifted adds, any number of coordinates;
-* ``python`` -- big-integer lists, the exact reference implementation.
-
-``PLETHYRAY_BACKEND`` selects the backend (``numba``, ``numpy``, ``python``
-or ``auto``; default auto = numba when importable, else numpy).  The machine
-backends work in int64, so any call whose counts are not provably below
-2**62 is routed to the python backend regardless of the selection; results
-are exact on every path.
+No cell can exceed the number of size-d multisets of the usable contents,
+comb(len(usable) + d - 1, d).  Below 2**62 the table is int64; otherwise it
+has dtype object, so every cell is an exact Python integer.  Results are
+exact either way.
 """
 
 from __future__ import annotations
 
-import os
-from itertools import product
-from math import comb, prod
+from math import comb
 
 import numpy as np
 
-ENV_BACKEND = "PLETHYRAY_BACKEND"
 _INT64_SAFE = 2**62
 
-_numba_kernels: dict | None = None
-_numba_failed = False
 
-
-def _load_numba_kernels() -> dict | None:
-    """Compile the @njit kernels on first use; None when numba is absent."""
-    global _numba_kernels, _numba_failed
-    if _numba_kernels is not None:
-        return _numba_kernels
-    if _numba_failed:
-        return None
-    try:
-        from numba import njit
-    except ImportError:
-        _numba_failed = True
-        return None
-
-    @njit(cache=True)
-    def dp_one(contents, d, cap0):
-        table = np.zeros((d + 1, cap0 + 1), dtype=np.int64)
-        table[0, 0] = 1
-        for idx in range(contents.shape[0]):
-            m0 = contents[idx, 0]
-            for j in range(1, d + 1):
-                for a in range(m0, cap0 + 1):
-                    table[j, a] += table[j - 1, a - m0]
-        return table[d, cap0]
-
-    @njit(cache=True)
-    def dp_two(contents, d, cap0, cap1):
-        table = np.zeros((d + 1, cap0 + 1, cap1 + 1), dtype=np.int64)
-        table[0, 0, 0] = 1
-        for idx in range(contents.shape[0]):
-            m0 = contents[idx, 0]
-            m1 = contents[idx, 1]
-            for j in range(1, d + 1):
-                for a in range(m0, cap0 + 1):
-                    for b in range(m1, cap1 + 1):
-                        table[j, a, b] += table[j - 1, a - m0, b - m1]
-        return table[d, cap0, cap1]
-
-    _numba_kernels = {1: dp_one, 2: dp_two}
-    return _numba_kernels
-
-
-def numba_available() -> bool:
-    return _load_numba_kernels() is not None
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Resolve a backend name, consulting PLETHYRAY_BACKEND when not given."""
-    name = backend or os.environ.get(ENV_BACKEND, "auto")
-    name = name.strip().lower()
-    if name in ("", "auto"):
-        return "numba" if numba_available() else "numpy"
-    if name not in ("numba", "numpy", "python"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not numba_available():
-        return "numpy"
-    return name
-
-
-def _dp_python(contents: list[tuple[int, ...]], d: int, caps: tuple[int, ...]) -> int:
-    dims = [c + 1 for c in caps]
-    size = prod(dims)
-    strides = [0] * len(dims)
-    acc = 1
-    for i in range(len(dims) - 1, -1, -1):
-        strides[i] = acc
-        acc *= dims[i]
-    levels = [[0] * size for _ in range(d + 1)]
-    levels[0][0] = 1
-    for m in contents:
-        shift = sum(mi * st for mi, st in zip(m, strides))
-        cells = [
-            sum(vi * st for vi, st in zip(v, strides))
-            for v in product(*(range(mi, ci + 1) for mi, ci in zip(m, caps)))
-        ]
-        for j in range(1, d + 1):
-            src = levels[j - 1]
-            dst = levels[j]
-            for flat in cells:
-                dst[flat] += src[flat - shift]
-    return levels[d][size - 1]
-
-
-def _dp_numpy(contents: list[tuple[int, ...]], d: int, caps: tuple[int, ...]) -> int:
+def _dp(contents: list[tuple[int, ...]], d: int, caps: tuple[int, ...]) -> int:
+    dtype = np.int64 if comb(len(contents) + d - 1, d) < _INT64_SAFE else object
     shape = (d + 1,) + tuple(c + 1 for c in caps)
-    table = np.zeros(shape, dtype=np.int64)
+    table = np.zeros(shape, dtype=dtype)
     table[(0,) * len(shape)] = 1
     for m in contents:
         dst = tuple(slice(mi, None) for mi in m)
@@ -128,10 +35,7 @@ def _dp_numpy(contents: list[tuple[int, ...]], d: int, caps: tuple[int, ...]) ->
 
 
 def count_capped_multisets(
-    contents: list[tuple[int, ...]],
-    d: int,
-    caps: tuple[int, ...],
-    backend: str | None = None,
+    contents: list[tuple[int, ...]], d: int, caps: tuple[int, ...]
 ) -> int:
     """Number of size-d multisets from ``contents`` summing exactly to ``caps``.
 
@@ -152,15 +56,4 @@ def count_capped_multisets(
     if not caps:
         # no tracked coordinates: every multiset qualifies
         return comb(len(usable) + d - 1, d)
-
-    name = resolve_backend(backend)
-    if name != "python" and comb(len(usable) + d - 1, d) >= _INT64_SAFE:
-        name = "python"  # int64 could overflow; take the exact big-int path
-
-    if name == "numba" and len(caps) in (1, 2):
-        kernel = _load_numba_kernels()[len(caps)]
-        arr = np.asarray(usable, dtype=np.int64).reshape(len(usable), len(caps))
-        return int(kernel(arr, d, *caps))
-    if name in ("numba", "numpy"):
-        return _dp_numpy(usable, d, caps)
-    return _dp_python(usable, d, caps)
+    return _dp(usable, d, caps)

@@ -1,8 +1,8 @@
 """Exact partition and weight-vector combinatorics.
 
 Partitions are weakly decreasing tuples of nonnegative integers; trailing
-zeros are kept as given (they fix the number of variables used downstream)
-but are ignored by equality and hashing.
+zeros are kept as given, so a partition prints as it was written, but are
+ignored by equality and hashing.
 """
 
 from __future__ import annotations

@@ -7,17 +7,18 @@ dimensions of weight spaces:
     m = sum over w in S_n of  sgn(w) * dim weightspace(w(lam+rho) - rho)
 
 and each weight-space dimension is the number of size-d multisets of degree-k
-monomial contents with the prescribed coordinate sum.  For partitions with at
-most n nonzero parts and n >= len(lam) this is the stable plethysm
-coefficient.
+monomial contents with the prescribed coordinate sum.  For every n at least
+the number of nonzero parts of lam this is the same stable plethysm
+coefficient, so plethysm_multiplicity takes n equal to that number.
 
 In one or two variables the weight spaces have closed forms.  With one
 variable the only weight of the right total is (d*k), of dimension 1.  With
 two, the dimension of the (d*k - j, j) weight space is the number of
 partitions of j into at most d parts of size at most k, the coefficient of
 q^j in the Gaussian binomial [d+k choose d]_q (Cayley-Sylvester); its rows
-are built once per (d, k) and cached.  Wider weights go to the pair-count
-closed form (d = 2) or the capped-multiset kernel.
+are built once per (d, k) and cached, so every lam with at most two nonzero
+parts stays off the kernel.  Wider weights go to the pair-count closed form
+(d = 2) or the capped-multiset kernel.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import comb
 
 import numpy as np
 
-from .kernels import _INT64_SAFE, count_capped_multisets, resolve_backend
+from .kernels import _INT64_SAFE, count_capped_multisets
 from .partitions import (
     Partition,
     WeightVector,
@@ -100,7 +101,7 @@ def _gaussian_half_row(d: int, k: int) -> np.ndarray:
     return row
 
 
-def weight_count(d: int, k: int, n: int, mu: WeightVector, backend: str | None = None) -> int:
+def weight_count(d: int, k: int, n: int, mu: WeightVector) -> int:
     """Dimension of the mu-weight space of S^d(S^k C^n).
 
     Negative entries or a wrong total simply give 0; the alternating Weyl sum
@@ -131,23 +132,23 @@ def weight_count(d: int, k: int, n: int, mu: WeightVector, backend: str | None =
         tuple(c for i, c in enumerate(mono) if i != drop)
         for mono in inner_monomial_contents(k, n)
     ]
-    return count_capped_multisets(contents, d, caps, backend=backend)
+    return count_capped_multisets(contents, d, caps)
 
 
-def plethysm_multiplicity(d: int, k: int, lam: Partition, backend: str | None = None) -> int:
+def plethysm_multiplicity(d: int, k: int, lam: Partition) -> int:
     """The multiplicity of S^lam in S^d(S^k); 0 whenever |lam| != d*k.
 
-    The number of variables is the declared length of lam (including written
-    zeros); padding lam with further zeros never changes the result.  An
-    unknown backend is rejected on every path, including those that never
-    reach the kernel.
+    The multiplicity in S^d(S^k C^n) is the same for every n >= l(lam), the
+    number of nonzero parts of lam (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.8), so the sum runs over l(lam) variables: written zeros
+    of lam never change the result, and a two-part lam is answered by the
+    Gaussian rows.
     """
-    backend = resolve_backend(backend)
     if d < 1:
         raise ValueError("outer power d must be positive")
     if k < 0:
         raise ValueError("inner power k must be nonnegative")
-    n = max(1, len(lam.parts))
+    n = max(1, len(lam.stripped()))
     if lam.size != d * k:
         return 0
     memo: dict[tuple[int, ...], int] = {}
@@ -157,7 +158,7 @@ def plethysm_multiplicity(d: int, k: int, lam: Partition, backend: str | None = 
         cached = memo.get(key)
         if cached is None:
             # weight-space dimensions are symmetric in the coordinates
-            cached = weight_count(d, k, n, weight, backend=backend)
+            cached = weight_count(d, k, n, weight)
             memo[key] = cached
         total += sign * cached
     if total < 0:
@@ -167,14 +168,10 @@ def plethysm_multiplicity(d: int, k: int, lam: Partition, backend: str | None = 
     return total
 
 
-def hermite_check(d: int, k: int, lam: Partition, backend: str | None = None) -> bool:
+def hermite_check(d: int, k: int, lam: Partition) -> bool:
     """Whether m^{d,k}_lam equals m^{k,d}_lam (Hermite reciprocity)."""
     if d < 1 or k < 1:
         raise ValueError("hermite_check needs positive d and k")
     if lam.size != d * k:
         raise ValueError(f"|lam| = {lam.size} != d*k = {d * k}")
-    n = max(d, k, len(lam.parts))
-    padded = Partition(lam.padded(n))
-    lhs = plethysm_multiplicity(d, k, padded, backend=backend)
-    rhs = plethysm_multiplicity(k, d, padded, backend=backend)
-    return lhs == rhs
+    return plethysm_multiplicity(d, k, lam) == plethysm_multiplicity(k, d, lam)

@@ -9,7 +9,6 @@ both are quasi-polynomials in s that we recover by exact interpolation.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .partitions import Partition, scale
@@ -45,31 +44,20 @@ class RaySpec:
         return {"mode": self.mode, "d": self.d, "k": self.k, "lambda": str(self.lam)}
 
 
-def ray_value(spec: RaySpec, s: int, backend: str | None = None) -> int:
+def ray_value(spec: RaySpec, s: int) -> int:
     """The multiplicity at one ray point; s = 0 is 1 by convention."""
     if s == 0:
         return 1
     if spec.mode == OUTER:
-        return plethysm_multiplicity(spec.d, s * spec.k, scale(spec.lam, s), backend=backend)
-    return plethysm_multiplicity(s * spec.d, spec.k, scale(spec.lam, s), backend=backend)
+        return plethysm_multiplicity(spec.d, s * spec.k, scale(spec.lam, s))
+    return plethysm_multiplicity(s * spec.d, spec.k, scale(spec.lam, s))
 
 
-def sample_ray(
-    spec: RaySpec, s_max: int, backend: str | None = None, workers: int = 1
-) -> list[int]:
-    """Multiplicities for s = 0..s_max; entries are independent of each other.
-
-    workers > 1 evaluates the entries in a process pool; the assembled list
-    is in s order either way.
-    """
+def sample_ray(spec: RaySpec, s_max: int) -> list[int]:
+    """Multiplicities for s = 0..s_max, in s order."""
     if s_max < 0:
         raise ValueError("s_max must be nonnegative")
-    points = range(s_max + 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(ray_value, [spec] * len(points), points,
-                                 [backend] * len(points)))
-    return [ray_value(spec, s, backend=backend) for s in points]
+    return [ray_value(spec, s) for s in range(s_max + 1)]
 
 
 def extract_quasipoly(
@@ -78,7 +66,6 @@ def extract_quasipoly(
     degree_hint: int,
     s_max: int,
     samples: list[int] | None = None,
-    backend: str | None = None,
 ) -> QuasiPolynomial | FitFailure:
     """Fit the ray's samples with the hinted period and degree.
 
@@ -92,7 +79,7 @@ def extract_quasipoly(
             "not enough samples to validate the fit"
         )
     if samples is None:
-        samples = sample_ray(spec, s_max, backend=backend)
+        samples = sample_ray(spec, s_max)
     return fit(list(enumerate(samples)), period_hint, degree_hint)
 
 
@@ -119,7 +106,6 @@ def discover_quasipoly(
     periods: tuple[int, ...] = PERIOD_LADDER,
     max_degree: int = 4,
     samples: list[int] | None = None,
-    backend: str | None = None,
 ) -> tuple[QuasiPolynomial, int, int] | FitFailure:
     """Try periods from the ladder and degrees from 0 up; first validated fit wins.
 
@@ -132,7 +118,7 @@ def discover_quasipoly(
     failure.  Other samples go through ``fit`` at every pair.
     """
     if samples is None:
-        samples = sample_ray(spec, s_max, backend=backend)
+        samples = sample_ray(spec, s_max)
     pairs = list(enumerate(samples))
     values = [value for _, value in pairs]
     screen = all(type(value) is int for value in values)
@@ -159,7 +145,6 @@ def verify_theorem_ray(
     s_max: int,
     inner_s_max: int | None = None,
     reference: QuasiPolynomial | None = None,
-    backend: str | None = None,
 ) -> dict:
     """Compare both scaled rays of (d=3, k=4, lam=(7,5,0)) against the period-6 reference.
 
@@ -174,7 +159,7 @@ def verify_theorem_ray(
     checks = []
     for mode, cap, d, k in ((OUTER, s_max, 3, 4), (INNER, inner_s_max, 4, 3)):
         spec = RaySpec(mode, d, k, lam)
-        samples = sample_ray(spec, cap, backend=backend)
+        samples = sample_ray(spec, cap)
         for s, actual in enumerate(samples):
             expected = reference.eval(s)
             checks.append(
@@ -194,7 +179,6 @@ def interior_ray_check(
     t: int,
     s_max: int,
     reference: QuasiPolynomial | None = None,
-    backend: str | None = None,
 ) -> dict:
     """Check the strictly interior ray lam = s*(7+2t, 5+2t, 2t) against the reference.
 
@@ -209,7 +193,7 @@ def interior_ray_check(
         reference = phi_reference()
     lam = Partition((7 + 2 * t, 5 + 2 * t, 2 * t))
     spec = RaySpec(OUTER, 3, 4 + 2 * t, lam)
-    samples = sample_ray(spec, s_max, backend=backend)
+    samples = sample_ray(spec, s_max)
     checks = []
     for s, actual in enumerate(samples):
         expected = reference.eval(s)

@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import os
 import subprocess
 import sys
 
@@ -223,6 +222,41 @@ def test_scan_worker_pool_matches_serial(capsys, monkeypatch):
     assert code1 == code2 == 0 and serial == parallel
 
 
+@pytest.mark.parametrize(
+    "rows,max_boxes,sizes",
+    [("2", "4", [3]), ("1", "4", []), ("2", "3", [])],
+    ids=["three-rays", "one-ray", "no-rays"],
+)
+def test_scan_pool_is_capped_at_the_job_count(capsys, monkeypatch, rows, max_boxes, sizes):
+    # a large PLETHYRAY_WORKERS sizes the pool by the rays scanned, and a
+    # scan of one ray or none runs serially; the stand-in pool records its
+    # size and maps in process, so no worker is ever started
+    import plethyray.cli as cli
+
+    recorded = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    code1, serial, _ = run(capsys, "scan", "--rows", rows, "--max-boxes", max_boxes)
+    assert recorded == []
+    monkeypatch.setenv("PLETHYRAY_WORKERS", "5000")
+    code2, pooled, _ = run(capsys, "scan", "--rows", rows, "--max-boxes", max_boxes)
+    assert code1 == code2 == 0 and pooled == serial
+    assert recorded == sizes
+
+
 def test_scan_rejects_bad_rows(capsys):
     code, _, err = run(capsys, "scan", "--rows", "3")
     assert code == 2 and "rows" in err
@@ -233,23 +267,6 @@ def test_scan_rejects_non_integer_workers(capsys, monkeypatch):
     code, out, err = run(capsys, "scan", "--rows", "2", "--max-boxes", "4")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "PLETHYRAY_WORKERS" in err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("plethysm", "3", "4", "7,5,0"),
-        ("plethysm", "3", "4", "7,4"),  # size mismatch: no multiplicity is computed
-        ("ray", "outer", "3", "4", "7,5,0", "--smax", "12"),
-        ("scan", "--rows", "2", "--max-boxes", "4"),
-        ("verify-paper",),
-    ],
-)
-def test_bad_backend_is_usage_error(capsys, monkeypatch, argv):
-    monkeypatch.setenv("PLETHYRAY_BACKEND", "bogus")
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "PLETHYRAY_BACKEND" in err and "bogus" in err
 
 
 @pytest.mark.parametrize(
@@ -284,6 +301,5 @@ def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "plethyray.cli", "plethysm", "2", "2", "2,2"],
         capture_output=True, text=True,
-        env={**os.environ, "PLETHYRAY_BACKEND": "numpy"},
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "1"

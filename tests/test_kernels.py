@@ -2,14 +2,7 @@ import pytest
 from itertools import combinations_with_replacement
 from math import comb
 
-from plethyray.kernels import (
-    ENV_BACKEND,
-    count_capped_multisets,
-    numba_available,
-    resolve_backend,
-)
-
-BACKENDS = ["python", "numpy"] + (["numba"] if numba_available() else [])
+from plethyray.kernels import count_capped_multisets
 
 
 def brute(contents, d, caps):
@@ -35,16 +28,9 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("contents,d,caps", CASES)
-def test_backends_match_brute_force(backend, contents, d, caps):
-    assert count_capped_multisets(contents, d, caps, backend=backend) == brute(contents, d, caps)
-
-
-@pytest.mark.parametrize("contents,d,caps", CASES)
-def test_backends_agree_with_each_other(contents, d, caps):
-    values = {b: count_capped_multisets(contents, d, caps, backend=b) for b in BACKENDS}
-    assert len(set(values.values())) == 1, values
+def test_kernel_matches_brute_force(contents, d, caps):
+    assert count_capped_multisets(contents, d, caps) == brute(contents, d, caps)
 
 
 def test_empty_caps_counts_all_multisets():
@@ -61,31 +47,14 @@ def test_unusable_contents_dropped():
     assert count_capped_multisets([(5,), (1,)], 2, (2,)) == 1
 
 
-def test_env_flag_selects_backend(monkeypatch):
-    monkeypatch.setenv(ENV_BACKEND, "numpy")
-    assert resolve_backend() == "numpy"
-    monkeypatch.setenv(ENV_BACKEND, "python")
-    assert resolve_backend() == "python"
-    monkeypatch.setenv(ENV_BACKEND, "auto")
-    assert resolve_backend() in ("numba", "numpy")
-    monkeypatch.setenv(ENV_BACKEND, "granite")
-    with pytest.raises(ValueError):
-        resolve_backend()
-
-
-def test_explicit_argument_beats_env(monkeypatch):
-    monkeypatch.setenv(ENV_BACKEND, "python")
-    assert resolve_backend("numpy") == "numpy"
-
-
 def test_overflow_guard_routes_to_python():
     # 400 contents at multiset size 40 overflows the int64 cell bound, so the
-    # machine backends must hand off to the big-integer path; the answer is
-    # the number of multisets of size 40 from 400 copies of the zero vector
+    # kernel must fill an exact object table; the answer is the number of
+    # multisets of size 40 from 400 copies of the zero vector
     contents = [(0,)] * 400
     expected = comb(400 + 40 - 1, 40)
     assert expected >= 2**62  # the guard really is exercised
-    assert count_capped_multisets(contents, 40, (0,), backend="numpy") == expected
+    assert count_capped_multisets(contents, 40, (0,)) == expected
 
 
 def test_rejects_bad_input():

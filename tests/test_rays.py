@@ -53,20 +53,6 @@ def test_sample_ray_normalizes_s_zero():
         assert sample_ray(spec, 0) == [1]
 
 
-def test_sample_ray_parallel_matches_serial():
-    spec = RaySpec("outer", 2, 2, Partition((3, 1)))
-    assert sample_ray(spec, 10, workers=2) == sample_ray(spec, 10)
-
-
-def test_sample_ray_parallel_passes_backend():
-    # d = 3 reaches the multiset kernel, which rejects an unknown backend
-    spec = RaySpec("outer", 3, 2, Partition((4, 2)))
-    with pytest.raises(ValueError, match="bogus"):
-        sample_ray(spec, 3, backend="bogus")
-    with pytest.raises(ValueError, match="bogus"):
-        sample_ray(spec, 3, backend="bogus", workers=2)
-
-
 def test_outer_and_inner_agree_on_theorem_ray():
     outer = sample_ray(RaySpec("outer", 3, 4, THEOREM_LAM), 4)
     inner = sample_ray(RaySpec("inner", 4, 3, THEOREM_LAM), 4)
