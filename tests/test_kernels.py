@@ -2,6 +2,7 @@ import pytest
 from itertools import combinations_with_replacement
 from math import comb
 
+from plethyray import kernels
 from plethyray.kernels import count_capped_multisets
 
 
@@ -28,8 +29,17 @@ CASES = [
 ]
 
 
+# The kernel fills an int64 table ("numpy") below its overflow bound and a
+# table of exact Python ints ("python") above it; a zero bound forces the
+# second table on every case.
+TABLES = ["python", "numpy"]
+
+
+@pytest.mark.parametrize("table", TABLES)
 @pytest.mark.parametrize("contents,d,caps", CASES)
-def test_kernel_matches_brute_force(contents, d, caps):
+def test_backends_match_brute_force(table, contents, d, caps, monkeypatch):
+    if table == "python":
+        monkeypatch.setattr(kernels, "_INT64_SAFE", 0)
     assert count_capped_multisets(contents, d, caps) == brute(contents, d, caps)
 
 
