@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -42,20 +43,30 @@ EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
 
 
-def _emit(text: str, path: str | None) -> None:
+class UsageError(Exception):
+    pass
+
+
+def _emit(text: str, path: str | None, newline: str | None = None) -> None:
+    """Write text, newline-terminated, to stdout or to path.
+
+    An output path that cannot be written (a missing directory, a
+    directory) is a usage error.
+    """
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _emit_json(data: dict, path: str | None) -> None:
     _emit(json.dumps(data, indent=2, sort_keys=True), path)
-
-
-class UsageError(Exception):
-    pass
 
 
 def _parse_partition(text: str) -> Partition:
@@ -331,14 +342,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda row: (row["d"], row["k"], row["lambda"], row["form"]))
 
-    target = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8", newline="")
-    try:
-        writer = csv.DictWriter(target, fieldnames=SCAN_FIELDS, lineterminator="\r\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if args.output is not None:
-            target.close()
+    table = io.StringIO()
+    writer = csv.DictWriter(table, fieldnames=SCAN_FIELDS, lineterminator="\r\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    _emit(table.getvalue(), args.output, newline="")
     return EXIT_OK
 
 

@@ -15,10 +15,14 @@ In one or two variables the weight spaces have closed forms.  With one
 variable the only weight of the right total is (d*k), of dimension 1.  With
 two, the dimension of the (d*k - j, j) weight space is the number of
 partitions of j into at most d parts of size at most k, the coefficient of
-q^j in the Gaussian binomial [d+k choose d]_q (Cayley-Sylvester); its rows
-are built once per (d, k) and cached, so every lam with at most two nonzero
-parts stays off the kernel.  Wider weights go to the pair-count closed form
-(d = 2) or the capped-multiset kernel.
+q^j in the Gaussian binomial [d+k choose d]_q; its rows are built once per
+(d, k) and cached.  The Weyl sum in two variables then collapses to one
+difference of that row (Cayley-Sylvester): the multiplicity of (d*k - j, j)
+is [q^j] - [q^(j-1)], and of (d*k) it is [q^0] = 1.  So plethysm_multiplicity
+answers every lam with at most two nonzero parts from the cached row without
+a weight-space count, and only lam with three or more parts takes the Weyl
+sum.  Wider weights go to the pair-count closed form (d = 2) or the
+capped-multiset kernel.
 """
 
 from __future__ import annotations
@@ -140,17 +144,25 @@ def plethysm_multiplicity(d: int, k: int, lam: Partition) -> int:
 
     The multiplicity in S^d(S^k C^n) is the same for every n >= l(lam), the
     number of nonzero parts of lam (Macdonald, Symmetric Functions and Hall
-    Polynomials, I.8), so the sum runs over l(lam) variables: written zeros
-    of lam never change the result, and a two-part lam is answered by the
-    Gaussian rows.
+    Polynomials, I.8), so written zeros of lam never change the result.  A
+    lam with at most two nonzero parts is one difference of the cached
+    Gaussian row (see the module docstring); wider lam take the Weyl sum
+    over l(lam) variables.
     """
     if d < 1:
         raise ValueError("outer power d must be positive")
     if k < 0:
         raise ValueError("inner power k must be nonnegative")
-    n = max(1, len(lam.stripped()))
+    parts = lam.stripped()
     if lam.size != d * k:
         return 0
+    if len(parts) <= 2:
+        row = _gaussian_half_row(d, k)
+        if len(parts) < 2:
+            return int(row[0])
+        j = parts[1]
+        return int(row[j]) - int(row[j - 1])
+    n = len(parts)
     memo: dict[tuple[int, ...], int] = {}
     total = 0
     for sign, weight in iter_nonnegative_signed_weights(lam, n):

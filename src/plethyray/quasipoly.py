@@ -4,11 +4,16 @@ A quasi-polynomial of period p is one polynomial per residue class mod p,
 stored as rational coefficient rows (constant term first).  Evaluation at a
 negative integer uses the nonnegative residue representative, which is what
 makes the Ehrhart-reciprocity check meaningful.
+
+Evaluation runs in integers: each instance scales its rows, once and on first
+use, to integer numerators over one common denominator, and Horner's rule on
+those numerators serves eval, eval_int and the validation inside fit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -65,19 +70,36 @@ class QuasiPolynomial:
     def degree(self) -> int:
         return len(self.rows[0]) - 1
 
-    def eval(self, s: int) -> Fraction:
-        """Value at any integer; the residue of s is taken in 0..period-1."""
-        row = self.rows[s % self.period]
-        acc = Fraction(0)
-        for coeff in reversed(row):
+    @cached_property
+    def _scaled_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(numerator rows, den): row j is the integer row / den.
+
+        Kept in the instance dict, outside the dataclass fields, so it takes
+        no part in ==, hash or repr.
+        """
+        den = lcm(*[c.denominator for row in self.rows for c in row])
+        rows = tuple(
+            tuple(c.numerator * (den // c.denominator) for c in row) for row in self.rows
+        )
+        return rows, den
+
+    def _numerator(self, s: int) -> int:
+        """q(s) times the common denominator, by Horner's rule in integers."""
+        acc = 0
+        for coeff in reversed(self._scaled_rows[0][s % self.period]):
             acc = acc * s + coeff
         return acc
 
+    def eval(self, s: int) -> Fraction:
+        """Value at any integer; the residue of s is taken in 0..period-1."""
+        return Fraction(self._numerator(s), self._scaled_rows[1])
+
     def eval_int(self, s: int) -> int:
-        value = self.eval(s)
-        if value.denominator != 1:
-            raise ValueError(f"value at s={s} is not an integer: {value}")
-        return int(value)
+        acc, den = self._numerator(s), self._scaled_rows[1]
+        value, rest = divmod(acc, den)
+        if rest:
+            raise ValueError(f"value at s={s} is not an integer: {Fraction(acc, den)}")
+        return value
 
     def __add__(self, other: "QuasiPolynomial") -> "QuasiPolynomial":
         if not isinstance(other, QuasiPolynomial):
@@ -148,7 +170,7 @@ def phi_reference() -> QuasiPolynomial:
     return QuasiPolynomial(6, [[Fraction(rj, 3), Fraction(1, 3)] for rj in r])
 
 
-def _newton_row(window: list[tuple[int, Fraction]]) -> tuple[list[int], int]:
+def _newton_row(window: list[tuple[int, RationalLike]]) -> tuple[list[int], int]:
     """Monomial coefficients of the interpolant through window, over one denominator.
 
     Returns (coeffs, den) with integer coeffs, constant term first, such that
@@ -196,41 +218,42 @@ def fit(
     usage error and raises.
 
     Each class's polynomial comes from Newton divided differences over its
-    window; validation runs in integers, by Horner's rule on the row scaled
-    to a common denominator.
+    window; validation runs in integers, through the fitted
+    QuasiPolynomial's own scaled rows.
     """
     if period < 1 or degree < 0:
         raise ValueError("period must be positive and degree nonnegative")
-    table: dict[int, Fraction] = {}
+    # ints already carry numerator and denominator; only a FitFailure needs
+    # them as Fractions
+    table: dict[int, RationalLike] = {}
     for s, value in samples:
-        value = _as_fraction(value)
+        if type(value) is not int:
+            value = _as_fraction(value)
         if s < 0:
             raise ValueError("samples must have nonnegative s")
         if s in table and table[s] != value:
-            return FitFailure(s, value, table[s])
+            return FitFailure(s, _as_fraction(value), _as_fraction(table[s]))
         table[s] = value
     points = sorted(table.items())
-    by_class: list[list[tuple[int, Fraction]]] = [[] for _ in range(period)]
+    by_class: list[list[tuple[int, RationalLike]]] = [[] for _ in range(period)]
     for point in points:
         by_class[point[0] % period].append(point)
-    scaled = []
+    rows = []
     for j in range(period):
         window = by_class[j][: degree + 1]
         if len(window) < degree + 1:
             raise ValueError(
                 f"residue class {j} mod {period} has {len(window)} samples, needs {degree + 1}"
             )
-        scaled.append(_newton_row(window))
+        coeffs, den = _newton_row(window)
+        rows.append([Fraction(c, den) for c in coeffs])
+    result = QuasiPolynomial(period, rows)
+    den = result._scaled_rows[1]
     for s, value in points:
-        coeffs, den = scaled[s % period]
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * s + c
+        acc = result._numerator(s)
         if acc * value.denominator != value.numerator * den:
-            return FitFailure(s, value, Fraction(acc, den))
-    return QuasiPolynomial(
-        period, [[Fraction(c, den) for c in coeffs] for coeffs, den in scaled]
-    )
+            return FitFailure(s, _as_fraction(value), Fraction(acc, den))
+    return result
 
 
 def leading_coefficient(q: QuasiPolynomial) -> Fraction | None:

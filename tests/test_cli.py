@@ -303,3 +303,37 @@ def test_console_entry_point_runs():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("bad", ["missing-dir", "directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ray", "outer", "2", "2", "3,1", "--smax", "12"),
+        ("decide", "{qp}"),
+        ("verify-paper",),
+        ("scan", "--max-boxes", "4"),
+    ],
+    ids=["ray", "decide", "verify-paper", "scan"],
+)
+def test_unwritable_output_is_usage_error(tmp_path, capsys, argv, bad):
+    qp_file = tmp_path / "phi.json"
+    qp_file.write_text(json.dumps(phi_reference().to_json_dict()))
+    target = tmp_path / "no-such-dir" / "out.txt" if bad == "missing-dir" else tmp_path
+    argv = [arg.format(qp=qp_file) for arg in argv]
+    code, out, err = run(capsys, *argv, "-o", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and str(target) in err
+
+
+def test_default_scan_csv_is_pinned(capsys):
+    # the default 12-box scan, byte for byte: any change to a sample, a fit,
+    # a verdict or a witness shows here
+    import hashlib
+
+    code, out, _ = run(capsys, "scan", "--rows", "2", "--max-boxes", "12", "--form", "both")
+    raw = out.encode("utf-8")
+    assert code == 0 and raw.count(b"\r\n") == 133 and len(raw) == 27334
+    assert hashlib.sha256(raw).hexdigest() == (
+        "e9e2f78731b6d73c81db1042f19db905c35d05cc301f2c9f432d525c49873033"
+    )

@@ -235,3 +235,18 @@ def test_weight_count_returns_int_and_row_cache_is_bounded():
         weight_count(2, k, 2, (k, k))
     assert _gaussian_half_row.cache_info().currsize <= 128
 
+
+
+@pytest.mark.parametrize("d,k,dtype", [(32, 33, "int64"), (33, 33, "object")])
+def test_two_row_closed_form_matches_kernel_difference_at_the_int64_bound(d, k, dtype):
+    # the multiplicity of (dk - j, j) is one difference of the Gaussian row;
+    # the kernel counts each coefficient independently, on every j of the half row
+    assert _gaussian_half_row(d, k).dtype == dtype
+    contents = [(a,) for a in range(k + 1)]
+    counts = [count_capped_multisets(contents, d, (j,)) for j in range(d * k // 2 + 1)]
+    top = plethysm_multiplicity(d, k, Partition((d * k,)))
+    assert type(top) is int and top == counts[0] == 1
+    for j in range(1, d * k // 2 + 1):
+        got = plethysm_multiplicity(d, k, Partition((d * k - j, j)))
+        assert type(got) is int, j
+        assert got == counts[j] - counts[j - 1], j

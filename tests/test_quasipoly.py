@@ -358,3 +358,80 @@ def test_fit_matches_reference_on_ladder_windows():
         for period, degree in ((12, 4), (6, 1), (4, 2), (1, 0)):
             assert fit_outcome(fit, samples, period, degree) == \
                 fit_outcome(fit_reference, samples, period, degree)
+
+
+# --- integer evaluation against a plain Fraction Horner reference -----------
+
+
+def horner_reference(q, s):
+    """q(s) by Horner's rule on the Fraction rows, as eval was first written."""
+    acc = Fraction(0)
+    for coeff in reversed(q.rows[s % q.period]):
+        acc = acc * s + coeff
+    return acc
+
+
+def random_qp(rng):
+    period = rng.randrange(1, 13)
+    degree = rng.randrange(0, 5)
+    rows = [
+        [rng.choice([rng.randrange(-30, 31),
+                     Fraction(rng.randrange(-30, 31), rng.randrange(1, 25))])
+         for _ in range(degree + 1)]
+        for _ in range(period)
+    ]
+    return QuasiPolynomial(period, rows)
+
+
+def test_eval_matches_fraction_horner_reference():
+    rng = random.Random(8080)
+    integral = fractional = 0
+    for _ in range(300):
+        q = random_qp(rng)
+        for s in range(-3 * q.period - 5, 3 * q.period + 6):
+            expected = horner_reference(q, s)
+            got = q.eval(s)
+            assert type(got) is Fraction and got == expected, (q, s)
+            if expected.denominator == 1:
+                value = q.eval_int(s)
+                assert type(value) is int and value == expected, (q, s)
+                integral += 1
+            else:
+                with pytest.raises(ValueError) as info:
+                    q.eval_int(s)
+                assert str(info.value) == f"value at s={s} is not an integer: {expected}"
+                fractional += 1
+    assert integral > 1000 and fractional > 1000
+
+
+def test_eval_int_error_text_is_unchanged():
+    q = QuasiPolynomial(2, [[Fraction(1, 2)], [Fraction(-7, 3), 1]])
+    with pytest.raises(ValueError) as info:
+        q.eval_int(3)
+    assert str(info.value) == "value at s=3 is not an integer: 2/3"
+    with pytest.raises(ValueError) as info:
+        q.eval_int(-2)
+    assert str(info.value) == "value at s=-2 is not an integer: 1/2"
+
+
+def test_cached_integer_rows_stay_out_of_identity():
+    import dataclasses
+    import pickle
+
+    assert [f.name for f in dataclasses.fields(QuasiPolynomial)] == ["period", "rows"]
+    rng = random.Random(4242)
+    for _ in range(60):
+        q = random_qp(rng)
+        fresh = QuasiPolynomial(q.period, q.rows)
+        values = [q.eval(s) for s in range(-2 * q.period, 2 * q.period + 1)]
+        # q has evaluated (its integer rows are cached), fresh has not
+        assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
+        assert len({q, fresh}) == 1
+        back = pickle.loads(pickle.dumps(q))
+        assert back == q and hash(back) == hash(q)
+        wide = q.with_period(2 * q.period)
+        slim = q.reduced_period()
+        assert wide == fresh.with_period(2 * q.period)
+        assert slim == fresh.reduced_period()
+        for i, s in enumerate(range(-2 * q.period, 2 * q.period + 1)):
+            assert back.eval(s) == wide.eval(s) == slim.eval(s) == values[i], (q, s)
