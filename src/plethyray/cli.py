@@ -69,6 +69,15 @@ def _emit_json(data: dict, path: str | None) -> None:
     _emit(json.dumps(data, indent=2, sort_keys=True), path)
 
 
+def _read_qp(path: str, what: str) -> QuasiPolynomial:
+    """The quasi-polynomial in a JSON file; a usage error naming `what` if unreadable."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return QuasiPolynomial.from_json_dict(json.load(handle))
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise UsageError(f"cannot read {what}: {exc}") from exc
+
+
 def _parse_partition(text: str) -> Partition:
     try:
         return Partition.parse(text)
@@ -145,11 +154,7 @@ def cmd_ray(args: argparse.Namespace) -> int:
 
 
 def cmd_decide(args: argparse.Namespace) -> int:
-    try:
-        with open(args.qp_file, "r", encoding="utf-8") as handle:
-            qp = QuasiPolynomial.from_json_dict(json.load(handle))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _usage_error(f"cannot read quasi-polynomial from {args.qp_file}: {exc}")
+    qp = _read_qp(args.qp_file, f"quasi-polynomial from {args.qp_file}")
     decide = decide_inhomogeneous_1d if args.form == "inhomogeneous" else decide_homogeneous_1d
     try:
         outcome = decide(qp, s_max=args.smax, denom_multiplier=args.denom_mult)
@@ -159,98 +164,77 @@ def cmd_decide(args: argparse.Namespace) -> int:
     return EXIT_UNKNOWN if outcome.verdict == "unknown" else EXIT_OK
 
 
+def _theorem_ray_item(args: argparse.Namespace, reference: QuasiPolynomial) -> tuple:
+    report = verify_theorem_ray(args.smax_outer, args.smax_inner, reference=reference)
+    return report["pass"], {
+        "s_max_outer": report["s_max_outer"],
+        "s_max_inner": report["s_max_inner"],
+        "failures": [chk for chk in report["checks"] if not chk["ok"]],
+    }
+
+
+def _reciprocity_item(args: argparse.Namespace, reference: QuasiPolynomial) -> tuple:
+    violations = reciprocity_violations(reference, 10)
+    return 1 in violations, {"violations_up_to_10": violations}
+
+
+def _inhomogeneous_item(args: argparse.Namespace, reference: QuasiPolynomial) -> tuple:
+    outcome = decide_inhomogeneous_1d(reference, s_max=24, denom_multiplier=4)
+    replays = outcome.certificate is not None and replay_certificate(
+        outcome.certificate, reference
+    )
+    return outcome.verdict == "not_representable" and replays, {
+        "verdict": outcome.verdict, "certificate_replays": replays,
+    }
+
+
+def _homogeneous_item(args: argparse.Namespace, reference: QuasiPolynomial) -> tuple:
+    outcome = decide_homogeneous_1d(reference, s_max=24, denom_multiplier=4)
+    cert = outcome.certificate
+    return outcome.verdict == "not_representable", {
+        "verdict": outcome.verdict,
+        "violating_s": None if cert is None else cert.violating_s,
+    }
+
+
+def _sum_decomposition_item(args: argparse.Namespace, reference: QuasiPolynomial) -> tuple:
+    report = verify_sum_decomposition(Fraction(1, 100), 600)
+    return report["corrected_pass"], report
+
+
+def _interior_ray_item(args: argparse.Namespace, reference: QuasiPolynomial) -> tuple:
+    report = interior_ray_check(1, 6, reference=reference)
+    return report["pass"], {
+        key: report[key] for key in ("t", "inner_degree", "rejected_inner_degree", "s_max")
+    }
+
+
+# verify-paper's items in report order: a name, and a function of (args,
+# reference) that returns (pass, detail)
+PAPER_ITEMS = (
+    ("theorem-ray-values", _theorem_ray_item),
+    ("reciprocity-violation", _reciprocity_item),
+    ("decide-inhomogeneous-not-representable", _inhomogeneous_item),
+    ("decide-homogeneous-not-representable", _homogeneous_item),
+    ("sum-decomposition", _sum_decomposition_item),
+    ("interior-ray", _interior_ray_item),
+)
+
+
 def cmd_verify_paper(args: argparse.Namespace) -> int:
     for option, value in (("--smax-outer", args.smax_outer), ("--smax-inner", args.smax_inner)):
         if value < 0:
             return _usage_error(f"{option} must be nonnegative")
     reference = phi_reference()
     if args.reference_qp is not None:
-        try:
-            with open(args.reference_qp, "r", encoding="utf-8") as handle:
-                reference = QuasiPolynomial.from_json_dict(json.load(handle))
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            return _usage_error(f"cannot read reference qp: {exc}")
+        reference = _read_qp(args.reference_qp, "reference qp")
     items = []
-
-    ray_report = verify_theorem_ray(args.smax_outer, args.smax_inner, reference=reference)
-    items.append(
-        {
-            "name": "theorem-ray-values",
-            "pass": ray_report["pass"],
-            "detail": {
-                "s_max_outer": ray_report["s_max_outer"],
-                "s_max_inner": ray_report["s_max_inner"],
-                "failures": [chk for chk in ray_report["checks"] if not chk["ok"]],
-            },
-        }
-    )
-
-    try:
-        violations = reciprocity_violations(reference, 10)
-        items.append(
-            {
-                "name": "reciprocity-violation",
-                "pass": 1 in violations,
-                "detail": {"violations_up_to_10": violations},
-            }
-        )
-    except ValueError as exc:
-        items.append({"name": "reciprocity-violation", "pass": False, "detail": str(exc)})
-
-    try:
-        inhom = decide_inhomogeneous_1d(reference, s_max=24, denom_multiplier=4)
-        replay_ok = inhom.certificate is not None and replay_certificate(
-            inhom.certificate, reference
-        )
-        items.append(
-            {
-                "name": "decide-inhomogeneous-not-representable",
-                "pass": inhom.verdict == "not_representable" and replay_ok,
-                "detail": {"verdict": inhom.verdict, "certificate_replays": replay_ok},
-            }
-        )
-    except ValueError as exc:
-        items.append(
-            {"name": "decide-inhomogeneous-not-representable", "pass": False, "detail": str(exc)}
-        )
-
-    try:
-        homog = decide_homogeneous_1d(reference, s_max=24, denom_multiplier=4)
-        items.append(
-            {
-                "name": "decide-homogeneous-not-representable",
-                "pass": homog.verdict == "not_representable",
-                "detail": {
-                    "verdict": homog.verdict,
-                    "violating_s": None
-                    if homog.certificate is None
-                    else homog.certificate.violating_s,
-                },
-            }
-        )
-    except ValueError as exc:
-        items.append(
-            {"name": "decide-homogeneous-not-representable", "pass": False, "detail": str(exc)}
-        )
-
-    decomposition = verify_sum_decomposition(Fraction(1, 100), 600)
-    items.append(
-        {
-            "name": "sum-decomposition",
-            "pass": decomposition["corrected_pass"],
-            "detail": decomposition,
-        }
-    )
-
-    interior = interior_ray_check(1, 6, reference=reference)
-    items.append(
-        {
-            "name": "interior-ray",
-            "pass": interior["pass"],
-            "detail": {key: interior[key] for key in
-                       ("t", "inner_degree", "rejected_inner_degree", "s_max")},
-        }
-    )
+    for name, check in PAPER_ITEMS:
+        try:  # a ValueError fails its item, not the run
+            passed, detail = check(args, reference)
+        except ValueError as exc:
+            passed, detail = False, str(exc)
+        items.append({"name": name, "pass": passed, "detail": detail})
 
     summary = {"items": items, "pass": all(item["pass"] for item in items)}
     _emit_json(summary, args.output)

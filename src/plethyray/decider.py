@@ -15,14 +15,14 @@ verdict is an honest "unknown".
 
 The witness search runs first and is fast (pinned slopes decouple the
 offsets into interval arithmetic).  In the nonexistence search every
-constraint involves (b, c), (b, cbar) or b alone, so each feasibility
-question is settled on one exact interval of b (see feasibility).  Every
-branch system is kept irredundant, so its size stays bounded (at most 8
-constraints on the stress ladder up to period 30) instead of growing with
-the window; the work is the number of branches times a few small integer
-shadows.  Inputs that are in fact not representable tend to empty the
-disjunction within the first period or two.  s_max must be at least 1 in
-both forms.
+constraint has integer coefficients on (b, c), (b, cbar) or b alone, so
+every feasibility question, from the initial box on, is settled on one
+exact interval of b (see feasibility).  Every branch system is kept
+irredundant, so its size stays bounded (at most 8 constraints on the stress
+ladder up to period 30) instead of growing with the window; the work is the
+number of branches times a few small integer shadows.  Inputs that are in
+fact not representable tend to empty the disjunction within the first
+period or two.  s_max must be at least 1 in both forms.
 """
 
 from __future__ import annotations

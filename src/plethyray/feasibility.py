@@ -1,30 +1,28 @@
-"""Exact feasibility of rational linear inequality systems in three unknowns.
+"""Exact feasibility of the decider's linear inequality systems in three unknowns.
 
-Systems hold constraints a0*b + a1*c + a2*cbar (< or <=) rhs with a
-first-class strictness flag.
+Systems hold constraints a0*b + a1*c + a2*cbar (< or <=) rhs with integer
+coefficients and a first-class strictness flag.
 
-The decider's constraints each involve (b, c), (b, cbar) or b alone, never c
-and cbar together.  Feasibility of such a system is therefore the
-intersection of two 2-D shadows on the b axis: every lower bound on c is
-paired with every upper bound on c (likewise for cbar), each pair gives one
-bound on b, and the system is feasible exactly when those bounds and the
-b-only constraints fold into a non-empty interval.  Pairs and bounds are
-plain integer tuples compared by cross-multiplication.  `extended` keeps
-each system irredundant by one such shadow per negation test, so a system
-does not grow with the number of dilations seen; `functional_bound` pivots
-on the functional's last nonzero coordinate, which keeps the shape.  Both
-raise ValueError on a constraint or functional with both c and cbar.
+Every constraint involves (b, c), (b, cbar) or b alone, never c and cbar
+together; one that does raises ValueError.  Feasibility of such a system is
+therefore the intersection of two 2-D shadows on the b axis: every lower
+bound on c is paired with every upper bound on c (likewise for cbar), each
+pair gives one bound on b, and the system is feasible exactly when those
+bounds and the b-only constraints fold into a non-empty interval of b.  Pairs
+and bounds are plain integer tuples compared by cross-multiplication.
+`feasible` asks for that interval; `extended` keeps each system irredundant
+by one such shadow per negation test, so a system does not grow with the
+number of dilations seen; `functional_bound` pivots on the functional's last
+nonzero coordinate, which keeps the shape.
 
-A system built by hand rather than by `extended`, of any shape, is decided by
-one Fourier-Motzkin loop that eliminates cbar, then c, then b; a derived
-constraint is strict exactly when one of its parents is.  Coefficient
-vectors are kept as primitive integer tuples (the right-hand side stays an
-exact Fraction), which keeps the elimination inner loop in machine integers.
+General 3-variable Fourier-Motzkin elimination is kept below as the
+reference that the tests compare the shadows against; the program does not
+call it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple
@@ -55,19 +53,40 @@ def _reduce(coeffs: Iterable[int], rhs: Fraction, strict: bool) -> Constraint:
 
 
 def make_constraint(
-    coeffs: Iterable[RationalLike], rhs: RationalLike, strict: bool = False
+    coeffs: Iterable[int], rhs: RationalLike, strict: bool = False
 ) -> Constraint:
-    fracs = [_as_fraction(a) for a in coeffs]
-    if len(fracs) != NUM_VARS:
-        raise ValueError(f"expected {NUM_VARS} coefficients, got {len(fracs)}")
-    rhs = _as_fraction(rhs)
-    scale = lcm(*[a.denominator for a in fracs])
-    return _reduce((int(a * scale) for a in fracs), rhs * scale, bool(strict))
+    """The constraint coeffs . (b, c, cbar) <= rhs (< when strict), integer coeffs."""
+    coeffs = tuple(coeffs)
+    if len(coeffs) != NUM_VARS:
+        raise ValueError(f"expected {NUM_VARS} coefficients, got {len(coeffs)}")
+    return _reduce(coeffs, _as_fraction(rhs), bool(strict))
 
 
 def _violated(cons: Constraint) -> bool:
     """Whether an all-zero-coefficient constraint 0 (<|<=) rhs fails."""
     return cons.rhs < 0 or (cons.rhs == 0 and cons.strict)
+
+
+def _dedupe(constraints: Iterable[Constraint]) -> list[Constraint] | None:
+    """Tightest constraint per direction; None on an immediate contradiction."""
+    seen: dict[tuple[int, ...], Constraint] = {}
+    for cons in constraints:
+        if not any(cons.coeffs):
+            if _violated(cons):
+                return None
+            continue
+        old = seen.get(cons.coeffs)
+        if old is None or (cons.rhs, not cons.strict) < (old.rhs, not old.strict):
+            seen[cons.coeffs] = cons
+    return list(seen.values())
+
+
+# --- the Fourier-Motzkin reference --------------------------------------------
+#
+# General elimination of cbar, then c, then b, for any shape of system; a
+# derived constraint is strict exactly when one of its parents is.  The
+# program no longer calls these four: they are the independent reference the
+# tests compare the shadows against.
 
 
 def _combine(lower: Constraint, upper: Constraint, var: int) -> Constraint:
@@ -88,20 +107,6 @@ def _combine(lower: Constraint, upper: Constraint, var: int) -> Constraint:
                  lo.denominator * up.denominator * g),
         lower.strict or upper.strict,
     )
-
-
-def _dedupe(constraints: Iterable[Constraint]) -> list[Constraint] | None:
-    """Tightest constraint per direction; None on an immediate contradiction."""
-    seen: dict[tuple[int, ...], Constraint] = {}
-    for cons in constraints:
-        if not any(cons.coeffs):
-            if _violated(cons):
-                return None
-            continue
-        old = seen.get(cons.coeffs)
-        if old is None or (cons.rhs, not cons.strict) < (old.rhs, not old.strict):
-            seen[cons.coeffs] = cons
-    return list(seen.values())
 
 
 def _eliminate(constraints: list[Constraint], var: int) -> list[Constraint] | None:
@@ -228,6 +233,11 @@ def _fold(bounds: Iterable[tuple]) -> list[tuple] | None:
     return out
 
 
+def _b_interval(*groups: list[tuple]) -> list[tuple] | None:
+    """The interval of b that the groups' shadows allow together; None if empty."""
+    return _fold([bound for group in groups for bound in _shadow(group)])
+
+
 def _alone_on_its_side(cons: Constraint, rest: list[Constraint]) -> bool:
     """Whether cons is the only constraint that bounds some unknown from its side.
 
@@ -285,8 +295,6 @@ _CONTRADICTION = Constraint((0,) * NUM_VARS, Fraction(-1), False)
 @dataclass(frozen=True)
 class LinearSystem3:
     constraints: tuple[Constraint, ...] = ()
-    # set by extended(), which has just decided feasibility; None means unknown
-    known_feasible: bool | None = field(default=None, compare=False, repr=False)
 
     def extended(self, new: Iterable[Constraint]) -> "LinearSystem3":
         """The system with extra constraints, reduced to an irredundant one.
@@ -295,28 +303,22 @@ class LinearSystem3:
         involves both c and cbar raises ValueError.  An infeasible result is
         the explicit contradiction 0 <= -1; otherwise every constraint
         implied by the others is dropped.  The solution set is unchanged
-        either way, and the result records its feasibility, so feasible()
-        answers it without another elimination.
+        either way.
         """
         deduped = _dedupe(self.constraints + tuple(new))
         kept = None if deduped is None else _irredundant(deduped)
         if kept is None:
-            return LinearSystem3((_CONTRADICTION,), known_feasible=False)
-        return LinearSystem3(tuple(kept), known_feasible=True)
-
-    def canonical_key(self) -> tuple:
-        return tuple(sorted(self.constraints))
+            return LinearSystem3((_CONTRADICTION,))
+        return LinearSystem3(tuple(kept))
 
 
 def feasible(system: LinearSystem3) -> bool:
     """Whether some rational point satisfies every constraint.
 
-    A system built by extended() carries its answer; any other one is
-    decided by full Fourier-Motzkin elimination, whatever its shape.
+    The system is feasible exactly when the interval of b its three groups
+    allow is non-empty.  A constraint with both c and cbar raises ValueError.
     """
-    if system.known_feasible is not None:
-        return system.known_feasible
-    return _satisfiable(system.constraints)
+    return _b_interval(*_groups(map(_row, system.constraints))) is not None
 
 
 class Bound(NamedTuple):
@@ -351,7 +353,7 @@ def functional_bound(
     members = _groups(map(_row, system.constraints))
 
     if not any(fi):
-        if not feasible(system):
+        if _b_interval(*members) is None:
             return None
         return Bound(Fraction(0), False, Fraction(0), False)
 
@@ -361,14 +363,14 @@ def functional_bound(
     mag = abs(p)
 
     if pivot == 0:
-        interval = _fold(_shadow(members[0]) + _shadow(members[1]) + _shadow(members[2]))
+        interval = _b_interval(*members)
         if interval is None:
             return None
         # u = p * b: a*b <= r becomes sgn*a*u <= mag*r
         u_range = _fold([(sgn * a, mag * num, den, strict)
                          for a, num, den, strict in interval])
     else:
-        interval = _fold(_shadow(members[0]) + _shadow(members[3 - pivot]))
+        interval = _b_interval(members[0], members[3 - pivot])
         if interval is None:
             return None
         # in u's group, substitute x_pivot = (u - fi[0]*b) / p, scaled by |p|;
@@ -406,36 +408,3 @@ def _pick_in_bound(bound: Bound) -> Fraction:
     if lo == hi:
         return lo
     return (lo + hi) / 2
-
-
-def _substitute(system: LinearSystem3, var: int, value: Fraction) -> LinearSystem3:
-    out = []
-    for cons in system.constraints:
-        coeffs = list(cons.coeffs)
-        rhs = cons.rhs - coeffs[var] * value
-        coeffs[var] = 0
-        out.append(Constraint(tuple(coeffs), rhs, cons.strict))
-    return LinearSystem3(tuple(out))
-
-
-def sample_point(system: LinearSystem3) -> tuple[Fraction, Fraction, Fraction] | None:
-    """A deterministic rational solution of the system, or None if infeasible.
-
-    Variables are fixed one at a time to a point of their exact projected
-    range; the projection property of Fourier-Motzkin guarantees each partial
-    assignment extends.
-    """
-    if not feasible(system):
-        return None
-    values: list[Fraction] = []
-    current = system
-    for var in range(NUM_VARS):
-        unit = [0] * NUM_VARS
-        unit[var] = 1
-        bound = functional_bound(current, unit)
-        if bound is None:
-            return None  # unreachable on a feasible system
-        value = _pick_in_bound(bound)
-        values.append(value)
-        current = _substitute(current, var, value)
-    return (values[0], values[1], values[2])

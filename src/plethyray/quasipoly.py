@@ -30,7 +30,10 @@ def format_rational(x: RationalLike) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,21 @@ class QuasiPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QuasiPolynomial":
-        return cls(int(data["period"]), [[parse_rational(c) for c in row] for row in data["rows"]])
+        """Read back what to_json_dict writes; ValueError on anything else.
+
+        That is an object with an integer period and rows written as a list
+        of lists of rational strings; the written degree is not read.
+        """
+        if not isinstance(data, dict) or "period" not in data or "rows" not in data:
+            raise ValueError("expected an object with 'period' and 'rows'")
+        period, rows = data["period"], data["rows"]
+        if type(period) is not int:
+            raise ValueError(f"period must be an integer, got {period!r}")
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(isinstance(c, str) for c in row) for row in rows
+        ):
+            raise ValueError("rows must be a list of lists of rational strings")
+        return cls(period, [[parse_rational(c) for c in row] for row in rows])
 
     @classmethod
     def constant(cls, value: RationalLike, period: int = 1) -> "QuasiPolynomial":

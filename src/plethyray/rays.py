@@ -141,6 +141,19 @@ def discover_quasipoly(
     return fit(pairs, *last)
 
 
+def _compare_to_reference(spec: RaySpec, s_max: int, reference: QuasiPolynomial) -> list[dict]:
+    """One check per s <= s_max: the ray's multiplicity against reference(s)."""
+    checks = []
+    for s, actual in enumerate(sample_ray(spec, s_max)):
+        expected = reference.eval(s)
+        checks.append(
+            {"s": s,
+             "expected": int(expected) if expected.denominator == 1 else str(expected),
+             "actual": actual, "ok": expected == actual}
+        )
+    return checks
+
+
 def verify_theorem_ray(
     s_max: int,
     inner_s_max: int | None = None,
@@ -159,14 +172,7 @@ def verify_theorem_ray(
     checks = []
     for mode, cap, d, k in ((OUTER, s_max, 3, 4), (INNER, inner_s_max, 4, 3)):
         spec = RaySpec(mode, d, k, lam)
-        samples = sample_ray(spec, cap)
-        for s, actual in enumerate(samples):
-            expected = reference.eval(s)
-            checks.append(
-                {"mode": mode, "s": s,
-                 "expected": int(expected) if expected.denominator == 1 else str(expected),
-                 "actual": actual, "ok": expected == actual}
-            )
+        checks += [{"mode": mode, **chk} for chk in _compare_to_reference(spec, cap, reference)]
     return {
         "s_max_outer": s_max,
         "s_max_inner": inner_s_max,
@@ -192,16 +198,7 @@ def interior_ray_check(
     if reference is None:
         reference = phi_reference()
     lam = Partition((7 + 2 * t, 5 + 2 * t, 2 * t))
-    spec = RaySpec(OUTER, 3, 4 + 2 * t, lam)
-    samples = sample_ray(spec, s_max)
-    checks = []
-    for s, actual in enumerate(samples):
-        expected = reference.eval(s)
-        checks.append(
-            {"s": s,
-             "expected": int(expected) if expected.denominator == 1 else str(expected),
-             "actual": actual, "ok": expected == actual}
-        )
+    checks = _compare_to_reference(RaySpec(OUTER, 3, 4 + 2 * t, lam), s_max, reference)
     return {
         "t": t,
         "inner_degree": f"s*{4 + 2 * t}",

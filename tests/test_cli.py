@@ -154,6 +154,29 @@ def test_decide_missing_file_exits_2(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param('{"period": 1, "rows": [[1]]}', id="number-entries"),
+        pytest.param('{"period": 1, "rows": [[null]]}', id="null-entry"),
+        pytest.param('[{"period": 1, "rows": [["1"]]}]', id="top-level-array"),
+        pytest.param('{"period": 1.5, "rows": [["1"]]}', id="fractional-period"),
+        pytest.param('{"period": true, "rows": [["1"]]}', id="boolean-period"),
+        pytest.param('{"period": 1, "rows": ["1"]}', id="string-row"),
+        pytest.param('{"period": 1, "rows": [["1/0"]]}', id="zero-denominator"),
+        pytest.param('{"rows": [["1"]]}', id="no-period"),
+    ],
+)
+@pytest.mark.parametrize("command", [("decide",), ("verify-paper", "--reference-qp")],
+                         ids=["decide", "verify-paper"])
+def test_malformed_quasi_polynomial_file_is_usage_error(tmp_path, capsys, command, content):
+    qp_file = tmp_path / "bad.json"
+    qp_file.write_text(content)
+    code, out, err = run(capsys, *command, str(qp_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1
+
+
 def test_verify_paper_default_passes(tmp_path, capsys):
     out_file = tmp_path / "verify.json"
     code, _, err = run(capsys, "verify-paper", "-o", str(out_file))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -19,6 +20,7 @@ from plethyray import (
     replay_certificate,
 )
 from plethyray import decider
+from plethyray.cli import main
 from plethyray import feasibility
 from plethyray.decider import (
     HOMOGENEOUS,
@@ -37,7 +39,6 @@ from plethyray.feasibility import (
     feasible,
     functional_bound,
     make_constraint,
-    sample_point,
 )
 from plethyray.quasipoly import growth_rate, same_function
 
@@ -164,17 +165,6 @@ def test_functional_bound_infeasible_is_none():
         make_constraint((-1, 0, 0), 0),
     ])
     assert functional_bound(sys, (1, 0, 0)) is None
-
-
-def test_sample_point_satisfies_system():
-    sys = normalization_box().extended([
-        make_constraint((0, 0, -1), -1),
-        make_constraint((0, 0, 1), 2, strict=True),
-        make_constraint((-1, -1, 0), -1, strict=True),
-    ])
-    point = sample_point(sys)
-    b, c, cbar = point
-    assert 0 <= b < 1 and 0 < c <= 1 and 1 <= cbar < 2 and b + c > 1
 
 
 # --- the headline decisions -------------------------------------------------
@@ -464,7 +454,7 @@ def implied_by_others(constraints, i):
     cons = constraints[i]
     negation = Constraint(tuple(-a for a in cons.coeffs), -cons.rhs, not cons.strict)
     others = constraints[:i] + constraints[i + 1:]
-    return not feasible(LinearSystem3(others + (negation,)))
+    return not feasibility._satisfiable(others + (negation,))
 
 
 @pytest.mark.parametrize("p", [12, 30])
@@ -508,6 +498,24 @@ def test_ladder_certificate_step_counts_pinned(p, steps):
     assert cert.kind == "branch" and len(cert.steps) == steps
 
 
+def test_decide_stdout_is_pinned(tmp_path, capsys):
+    # decide FILE --form F byte for byte, over phi, the ladder and the fuzz
+    # inputs in both forms: any change to a verdict, a witness or a
+    # certificate step shows here
+    inputs = [phi_reference(), *(ladder_qp(p) for p in (6, 9, 12, 15)),
+              *fuzzed_quasipolynomials()]
+    digest = hashlib.sha256()
+    for i, q in enumerate(inputs):
+        path = tmp_path / f"q{i}.json"
+        path.write_text(json.dumps(q.to_json_dict()))
+        for form in (INHOMOGENEOUS, HOMOGENEOUS):
+            assert main(["decide", str(path), "--form", form]) == 0
+            digest.update(capsys.readouterr().out.encode("utf-8"))
+    assert digest.hexdigest() == (
+        "a11eb152c5686876b932f411e297e84781b1997dd0e066b6a3ba24723b85e728"
+    )
+
+
 def first_all_positive_by_scan(q, growth):
     """Reference: walk each residue class until q first reaches 1."""
     if growth == 0:
@@ -529,7 +537,7 @@ def test_first_all_positive_closed_form_matches_scan():
         assert _first_all_positive(q, growth) == first_all_positive_by_scan(q, growth)
 
 
-# --- feasibility recorded by extended ---------------------------------------
+# --- feasibility without elimination ----------------------------------------
 
 
 def counting_eliminations(monkeypatch):
@@ -551,14 +559,11 @@ def test_feasible_trusts_extended_and_checks_hand_built_systems(monkeypatch):
     calls = counting_eliminations(monkeypatch)
     assert feasible(cut) and not feasible(empty)
     assert calls == []
-    # a system built by hand records nothing and is fully eliminated
+    # a system built by hand is decided on its interval of b as well
     assert feasible(LinearSystem3(cut.constraints))
-    assert calls == [2, 1, 0]
-    calls.clear()
     split = LinearSystem3((make_constraint((1, 0, 0), 0), make_constraint((-1, 0, 0), -1)))
-    assert not feasible(split) and calls
-    # the recorded answer takes no part in equality
-    assert LinearSystem3(cut.constraints) == cut
+    assert not feasible(split)
+    assert calls == []
 
 
 def test_branch_and_replay_feasibility_checks_make_no_elimination(monkeypatch):
@@ -680,7 +685,7 @@ def irredundant_reference(constraints):
 
 
 def extended_reference(system, new):
-    """(constraints, known_feasible) of extended as it was, on 3-variable elimination."""
+    """(constraints, feasibility) of extended as it was, on 3-variable elimination."""
     deduped = feasibility._dedupe(system.constraints + tuple(new))
     if deduped is None or not feasibility._satisfiable(deduped):
         return (feasibility._CONTRADICTION,), False
@@ -774,7 +779,7 @@ def test_shadows_match_elimination_on_every_decider_system(monkeypatch):
     assert len(extends) > 3000 and len(bounds) > 2000
     for (constraints, new), out in extends.items():
         expected = extended_reference(LinearSystem3(constraints), new)
-        assert (out.constraints, out.known_feasible) == expected, (constraints, new)
+        assert (out.constraints, feasible(out)) == expected, (constraints, new)
     for (constraints, coeffs), out in bounds.items():
         assert out == functional_bound_reference(LinearSystem3(constraints), coeffs), \
             (constraints, coeffs)
@@ -812,8 +817,9 @@ def test_shadows_match_elimination_on_random_shaped_systems():
         base = LinearSystem3(tuple(random_shaped_system(rng, rng.randrange(0, 6))))
         new = random_shaped_system(rng, rng.randrange(0, 5))
         out = base.extended(new)
-        assert (out.constraints, out.known_feasible) == extended_reference(base, new), (base, new)
-        seen["feasible" if out.known_feasible else "infeasible"] += 1
+        assert (out.constraints, feasible(out)) == extended_reference(base, new), (base, new)
+        assert feasible(base) == feasibility._satisfiable(base.constraints), base
+        seen["feasible" if feasible(out) else "infeasible"] += 1
         for system in (base, out):
             for coeffs in functionals:
                 bound = functional_bound(system, coeffs)
@@ -833,8 +839,8 @@ def test_constraints_and_functionals_with_both_offsets_are_refused():
         functional_bound(box, (0, 1, -1))
     with pytest.raises(ValueError, match="both c and cbar"):
         functional_bound(LinearSystem3(box.constraints + (mixed,)), (1, 0, 0))
-    # a hand-built system of any shape is still decided by full elimination
-    assert feasible(LinearSystem3(box.constraints + (mixed,)))
+    with pytest.raises(ValueError, match="both c and cbar"):
+        feasible(LinearSystem3(box.constraints + (mixed,)))
 
 
 def test_branch_systems_stay_irredundant_in_both_forms(monkeypatch):
@@ -843,7 +849,7 @@ def test_branch_systems_stay_irredundant_in_both_forms(monkeypatch):
     homogeneous, _ = recorded_feasibility_calls(monkeypatch, inputs, (decide_homogeneous_1d,))
     planted, _ = recorded_feasibility_calls(monkeypatch, bumped_planted_families())
     for extends in (homogeneous, planted):
-        systems = [sys for sys in extends.values() if sys.known_feasible]
+        systems = [sys for sys in extends.values() if feasible(sys)]
         assert len(systems) >= 40
         for sys in systems:
             cons = sys.constraints
