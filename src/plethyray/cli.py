@@ -164,8 +164,8 @@ def cmd_decide(args: argparse.Namespace) -> int:
     return EXIT_UNKNOWN if outcome.verdict == "unknown" else EXIT_OK
 
 
-def _theorem_ray_item(args: argparse.Namespace, reference: QuasiPolynomial) -> tuple:
-    report = verify_theorem_ray(args.smax_outer, args.smax_inner, reference=reference)
+def _theorem_ray_item(smax_outer: int, smax_inner: int, reference: QuasiPolynomial) -> tuple:
+    report = verify_theorem_ray(smax_outer, smax_inner, reference=reference)
     return report["pass"], {
         "s_max_outer": report["s_max_outer"],
         "s_max_inner": report["s_max_inner"],
@@ -173,12 +173,12 @@ def _theorem_ray_item(args: argparse.Namespace, reference: QuasiPolynomial) -> t
     }
 
 
-def _reciprocity_item(args: argparse.Namespace, reference: QuasiPolynomial) -> tuple:
+def _reciprocity_item(reference: QuasiPolynomial) -> tuple:
     violations = reciprocity_violations(reference, 10)
     return 1 in violations, {"violations_up_to_10": violations}
 
 
-def _inhomogeneous_item(args: argparse.Namespace, reference: QuasiPolynomial) -> tuple:
+def _inhomogeneous_item(reference: QuasiPolynomial) -> tuple:
     outcome = decide_inhomogeneous_1d(reference, s_max=24, denom_multiplier=4)
     replays = outcome.certificate is not None and replay_certificate(
         outcome.certificate, reference
@@ -188,7 +188,7 @@ def _inhomogeneous_item(args: argparse.Namespace, reference: QuasiPolynomial) ->
     }
 
 
-def _homogeneous_item(args: argparse.Namespace, reference: QuasiPolynomial) -> tuple:
+def _homogeneous_item(reference: QuasiPolynomial) -> tuple:
     outcome = decide_homogeneous_1d(reference, s_max=24, denom_multiplier=4)
     cert = outcome.certificate
     return outcome.verdict == "not_representable", {
@@ -197,28 +197,16 @@ def _homogeneous_item(args: argparse.Namespace, reference: QuasiPolynomial) -> t
     }
 
 
-def _sum_decomposition_item(args: argparse.Namespace, reference: QuasiPolynomial) -> tuple:
+def _sum_decomposition_item(reference: QuasiPolynomial) -> tuple:
     report = verify_sum_decomposition(Fraction(1, 100), 600)
     return report["corrected_pass"], report
 
 
-def _interior_ray_item(args: argparse.Namespace, reference: QuasiPolynomial) -> tuple:
+def _interior_ray_item(reference: QuasiPolynomial) -> tuple:
     report = interior_ray_check(1, 6, reference=reference)
     return report["pass"], {
         key: report[key] for key in ("t", "inner_degree", "rejected_inner_degree", "s_max")
     }
-
-
-# verify-paper's items in report order: a name, and a function of (args,
-# reference) that returns (pass, detail)
-PAPER_ITEMS = (
-    ("theorem-ray-values", _theorem_ray_item),
-    ("reciprocity-violation", _reciprocity_item),
-    ("decide-inhomogeneous-not-representable", _inhomogeneous_item),
-    ("decide-homogeneous-not-representable", _homogeneous_item),
-    ("sum-decomposition", _sum_decomposition_item),
-    ("interior-ray", _interior_ray_item),
-)
 
 
 def cmd_verify_paper(args: argparse.Namespace) -> int:
@@ -228,10 +216,21 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
     reference = phi_reference()
     if args.reference_qp is not None:
         reference = _read_qp(args.reference_qp, "reference qp")
+    # the items in report order: a name, and a function of the reference
+    # that returns (pass, detail)
+    checks = (
+        ("theorem-ray-values",
+         lambda ref: _theorem_ray_item(args.smax_outer, args.smax_inner, ref)),
+        ("reciprocity-violation", _reciprocity_item),
+        ("decide-inhomogeneous-not-representable", _inhomogeneous_item),
+        ("decide-homogeneous-not-representable", _homogeneous_item),
+        ("sum-decomposition", _sum_decomposition_item),
+        ("interior-ray", _interior_ray_item),
+    )
     items = []
-    for name, check in PAPER_ITEMS:
+    for name, check in checks:
         try:  # a ValueError fails its item, not the run
-            passed, detail = check(args, reference)
+            passed, detail = check(reference)
         except ValueError as exc:
             passed, detail = False, str(exc)
         items.append({"name": name, "pass": passed, "detail": detail})

