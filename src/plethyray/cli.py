@@ -2,8 +2,7 @@
 
 Exit codes: 0 success (or verdict decided), 1 verification failure, 2 usage
 error, 3 decider returned unknown.  All outputs are UTF-8 JSON except scan,
-which emits RFC-4180 CSV.  PLETHYRAY_WORKERS sets the size of the scan's
-worker pool, capped at the number of rays it scans.
+which emits RFC-4180 CSV.
 """
 
 from __future__ import annotations
@@ -12,9 +11,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .decider import (
@@ -34,8 +31,6 @@ from .rays import (
     sample_ray,
     verify_theorem_ray,
 )
-
-ENV_WORKERS = "PLETHYRAY_WORKERS"
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -118,28 +113,18 @@ def cmd_ray(args: argparse.Namespace) -> int:
     if args.smax < 0:
         return _usage_error("--smax must be nonnegative")
     samples = sample_ray(spec, args.smax)
-    failures: list[str] = []
-    fitted = None
-    period = degree = None
-    if args.period is not None and args.degree is not None:
-        try:
+    try:
+        if args.period is None:
+            result = discover_quasipoly(spec, args.smax, samples=samples)
+        else:
             result = extract_quasipoly(spec, args.period, args.degree, args.smax,
                                        samples=samples)
-        except ValueError as exc:
-            return _usage_error(str(exc))
-        if isinstance(result, FitFailure):
-            failures.append(str(result))
-        else:
-            fitted, period, degree = result, args.period, args.degree
-    else:
-        try:
-            result = discover_quasipoly(spec, args.smax, samples=samples)
-        except ValueError as exc:
-            return _usage_error(str(exc))
-        if isinstance(result, FitFailure):
-            failures.append(str(result))
-        else:
-            fitted, period, degree = result
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    if isinstance(result, QuasiPolynomial):  # the hinted fit
+        result = (result, args.period, args.degree)
+    failed = isinstance(result, FitFailure)
+    fitted, period, degree = (None, None, None) if failed else result
     report = {
         "spec": spec.to_json_dict(),
         "s_max": args.smax,
@@ -147,7 +132,7 @@ def cmd_ray(args: argparse.Namespace) -> int:
         "fitted_qp": None if fitted is None else fitted.to_json_dict(),
         "period": period,
         "degree": degree,
-        "failures": failures,
+        "failures": [str(result)] if failed else [],
     }
     _emit_json(report, args.output)
     return EXIT_OK
@@ -258,9 +243,7 @@ def _scan_partitions(total: int, rows: int) -> list[Partition]:
     return out
 
 
-def _scan_one(job: tuple[int, int, str, str, int]) -> list[dict]:
-    d, k, lam_text, form, s_max = job
-    lam = Partition.parse(lam_text)
+def _scan_one(d: int, k: int, lam: Partition, form: str, s_max: int) -> list[dict]:
     spec = RaySpec("outer", d, k, lam)
     samples = sample_ray(spec, s_max)
     try:
@@ -268,7 +251,7 @@ def _scan_one(job: tuple[int, int, str, str, int]) -> list[dict]:
     except ValueError as exc:  # s_max too short for every pair of the ladder
         raise UsageError(str(exc)) from exc
     forms = ["inhomogeneous", "homogeneous"] if form == "both" else [form]
-    base = {"d": d, "k": k, "lambda": lam_text, "mode": "outer"}
+    base = {"d": d, "k": k, "lambda": str(lam), "mode": "outer"}
     if isinstance(found, FitFailure):
         return [
             {**base, "form": fm, "verdict": "fit_failure", "period": "", "degree": "",
@@ -305,24 +288,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
         return _usage_error("--rows must be 1 or 2")
     if args.form not in ("inhomogeneous", "homogeneous", "both"):
         return _usage_error("--form must be inhomogeneous, homogeneous, or both")
-    try:
-        workers = int(os.environ.get(ENV_WORKERS, "1"))
-    except ValueError:
-        return _usage_error(f"{ENV_WORKERS} must be an integer, got {os.environ[ENV_WORKERS]!r}")
-    if args.smax < 0:
-        return _usage_error("--smax must be nonnegative")
-    jobs = []
+    for option, value in (("--max-boxes", args.max_boxes), ("--smax", args.smax)):
+        if value < 0:
+            return _usage_error(f"{option} must be nonnegative")
+    rows = []
     for d in range(2, args.max_boxes // 2 + 1):
         for k in range(2, args.max_boxes // d + 1):
             for lam in _scan_partitions(d * k, args.rows):
-                jobs.append((d, k, str(lam), args.form, args.smax))
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_scan_one, jobs))
-    else:
-        chunks = [_scan_one(job) for job in jobs]
-    rows = [row for chunk in chunks for row in chunk]
+                rows += _scan_one(d, k, lam, args.form, args.smax)
     rows.sort(key=lambda row: (row["d"], row["k"], row["lambda"], row["form"]))
 
     table = io.StringIO()

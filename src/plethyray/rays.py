@@ -83,23 +83,6 @@ def extract_quasipoly(
     return fit(list(enumerate(samples)), period_hint, degree_hint)
 
 
-def _differences_vanish(values: list[int], period: int, degree: int) -> bool:
-    """Whether every residue class mod period of values is a polynomial of degree <= degree.
-
-    Exact for integer samples at s = 0, 1, 2, ...: on each class the
-    (degree+1)-th differences at step period must all be zero.  A class too
-    short to have such a difference passes; class lengths differ by at most
-    one, so then every class passes and fit sees the short class (and raises).
-    """
-    for start in range(period):
-        column = values[start::period]
-        for _ in range(degree + 1):
-            column = [b - a for a, b in zip(column, column[1:])]
-        if any(column):
-            return False
-    return True
-
-
 def discover_quasipoly(
     spec: RaySpec,
     s_max: int,
@@ -112,9 +95,14 @@ def discover_quasipoly(
     Returns (qp, period, degree) or the FitFailure of the last (period,
     degree) tried when nothing in the ladder validates; raises ValueError
     when s_max is too small to try any pair.  Integer samples are
-    screened with exact finite differences (``_differences_vanish``), so
-    ``fit`` runs once: on the first pair that passes, where it interpolates
-    and validates every sample, or on the last pair tried, to report its
+    screened with exact finite differences: each residue class mod period
+    is a polynomial of degree <= degree exactly when its (degree+1)-th
+    differences at step period all vanish, and each degree differences the
+    previous degree's columns once more.  A class too short to have such a
+    difference passes; class lengths differ by at most one, so then every
+    class passes and ``fit`` sees the short class (and raises).  So ``fit``
+    runs once: on the first pair that passes, where it interpolates and
+    validates every sample, or on the last pair tried, to report its
     failure.  Other samples go through ``fit`` at every pair.
     """
     if samples is None:
@@ -124,11 +112,16 @@ def discover_quasipoly(
     screen = all(type(value) is int for value in values)
     last: tuple[int, int] | None = None
     for period in periods:
+        # the residue classes mod period; differenced once per degree below
+        columns = []
+        if screen and period >= 1:
+            columns = [values[start::period] for start in range(period)]
         for degree in range(max_degree + 1):
+            columns = [[b - a for a, b in zip(col, col[1:])] for col in columns]
             if s_max < period * (degree + 2):
                 continue
             last = (period, degree)
-            if screen and period >= 1 and not _differences_vanish(values, period, degree):
+            if any(any(col) for col in columns):
                 continue
             result = fit(pairs, period, degree)
             if isinstance(result, QuasiPolynomial):
@@ -161,7 +154,10 @@ def verify_theorem_ray(
 ) -> dict:
     """Compare both scaled rays of (d=3, k=4, lam=(7,5,0)) against the period-6 reference.
 
-    The inner mode is capped at 8 by default (its cost grows with s*d).
+    The inner mode defaults to min(s_max, 8), the default of
+    ``verify-paper --smax-inner``, because the verify-paper report is fixed at
+    that cap; both rays are two-row, so each point is one Gaussian-row
+    difference and cost does not set the cap.
     Failures are report content, not exceptions.
     """
     if reference is None:

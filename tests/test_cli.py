@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from plethyray.cli import main
+from plethyray.cli import SCAN_FIELDS, main
 from plethyray.quasipoly import QuasiPolynomial, phi_reference
 
 
@@ -238,46 +238,21 @@ def test_scan_is_deterministic(capsys):
     assert code1 == code2 == 0 and out1 == out2
 
 
-def test_scan_worker_pool_matches_serial(capsys, monkeypatch):
-    code1, serial, _ = run(capsys, "scan", "--rows", "2", "--max-boxes", "6")
-    monkeypatch.setenv("PLETHYRAY_WORKERS", "2")
-    code2, parallel, _ = run(capsys, "scan", "--rows", "2", "--max-boxes", "6")
-    assert code1 == code2 == 0 and serial == parallel
+def test_scan_ignores_the_retired_workers_variable(capsys, monkeypatch):
+    # every scan runs in one process: PLETHYRAY_WORKERS, once a pool size,
+    # changes nothing, whatever its value
+    monkeypatch.delenv("PLETHYRAY_WORKERS", raising=False)
+    code, serial, _ = run(capsys, "scan", "--rows", "2", "--max-boxes", "4")
+    assert code == 0 and serial.count("\r\n") == 7
+    for value in ("two", "5000"):
+        monkeypatch.setenv("PLETHYRAY_WORKERS", value)
+        assert run(capsys, "scan", "--rows", "2", "--max-boxes", "4")[:2] == (0, serial)
 
 
-@pytest.mark.parametrize(
-    "rows,max_boxes,sizes",
-    [("2", "4", [3]), ("1", "4", []), ("2", "3", [])],
-    ids=["three-rays", "one-ray", "no-rays"],
-)
-def test_scan_pool_is_capped_at_the_job_count(capsys, monkeypatch, rows, max_boxes, sizes):
-    # a large PLETHYRAY_WORKERS sizes the pool by the rays scanned, and a
-    # scan of one ray or none runs serially; the stand-in pool records its
-    # size and maps in process, so no worker is ever started
-    import plethyray.cli as cli
-
-    recorded = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            recorded.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    code1, serial, _ = run(capsys, "scan", "--rows", rows, "--max-boxes", max_boxes)
-    assert recorded == []
-    monkeypatch.setenv("PLETHYRAY_WORKERS", "5000")
-    code2, pooled, _ = run(capsys, "scan", "--rows", rows, "--max-boxes", max_boxes)
-    assert code1 == code2 == 0 and pooled == serial
-    assert recorded == sizes
+@pytest.mark.parametrize("max_boxes", ["0", "3"])
+def test_scan_below_four_boxes_is_empty(capsys, max_boxes):
+    code, out, _ = run(capsys, "scan", "--max-boxes", max_boxes)
+    assert code == 0 and out == ",".join(SCAN_FIELDS) + "\r\n"
 
 
 def test_scan_rejects_bad_rows(capsys):
@@ -285,18 +260,12 @@ def test_scan_rejects_bad_rows(capsys):
     assert code == 2 and "rows" in err
 
 
-def test_scan_rejects_non_integer_workers(capsys, monkeypatch):
-    monkeypatch.setenv("PLETHYRAY_WORKERS", "two")
-    code, out, err = run(capsys, "scan", "--rows", "2", "--max-boxes", "4")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "PLETHYRAY_WORKERS" in err
-
-
 @pytest.mark.parametrize(
     "argv",
     [
         ("ray", "outer", "3", "4", "7,5", "--smax", "-1"),
         ("scan", "--smax", "-1"),
+        ("scan", "--max-boxes", "-1"),
         ("verify-paper", "--smax-outer", "-1"),
         ("verify-paper", "--smax-inner", "-1"),
         ("plethysm", "0", "4", "0"),
