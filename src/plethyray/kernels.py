@@ -10,18 +10,22 @@ No cell can exceed the number of size-d multisets of the usable contents,
 comb(len(usable) + d - 1, d).  Below 2**62 the table is int64; otherwise it
 has dtype object, so every cell is an exact Python integer.  Results are
 exact either way.
+
+numpy is imported on the first DP call, not with the module: every query
+with at most two nonzero parts, and every command that counts no weight
+space in three or more variables, runs without it.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-import numpy as np
-
 _INT64_SAFE = 2**62
 
 
 def _dp(contents: list[tuple[int, ...]], d: int, caps: tuple[int, ...]) -> int:
+    import numpy as np
+
     dtype = np.int64 if comb(len(contents) + d - 1, d) < _INT64_SAFE else object
     shape = (d + 1,) + tuple(c + 1 for c in caps)
     table = np.zeros(shape, dtype=dtype)

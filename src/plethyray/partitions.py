@@ -79,7 +79,11 @@ def scale(lam: Partition, s: int) -> Partition:
     """Multiply every part by the nonnegative integer s, keeping declared zeros."""
     if s < 0:
         raise ValueError("scale factor must be nonnegative")
-    return Partition(p * s for p in lam.parts)
+    # s >= 0 keeps lam's parts nonnegative and weakly decreasing, so the
+    # result skips Partition's validation (ray sampling scales every point)
+    scaled = object.__new__(Partition)
+    object.__setattr__(scaled, "parts", tuple(p * s for p in lam.parts))
+    return scaled
 
 
 def rho(n: int) -> WeightVector:

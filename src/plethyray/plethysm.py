@@ -15,24 +15,33 @@ In one or two variables the weight spaces have closed forms.  With one
 variable the only weight of the right total is (d*k), of dimension 1.  With
 two, the dimension of the (d*k - j, j) weight space is the number of
 partitions of j into at most d parts of size at most k, the coefficient of
-q^j in the Gaussian binomial [d+k choose d]_q; its rows are built once per
-(d, k) and cached.  The Weyl sum in two variables then collapses to one
-difference of that row (Cayley-Sylvester): the multiplicity of (d*k - j, j)
-is [q^j] - [q^(j-1)], and of (d*k) it is [q^0] = 1.  So plethysm_multiplicity
-answers every lam with at most two nonzero parts from the cached row without
-a weight-space count, and only lam with three or more parts takes the Weyl
-sum.  Wider weights go to the pair-count closed form (d = 2) or the
-capped-multiset kernel.
+q^j in the Gaussian binomial [d+k choose d]_q.  With a = min(d, k) and
+b = max(d, k), expanding the numerator of the product
+prod_{i=1..a} (1 - q^(b+i)) / (1 - q^i) gives the denumerant sum
+
+    [q^j] = sum over S in {1..a} of (-1)^|S| * p_a(j - |S|*b - sum(S))
+
+where p_a(m) counts the partitions of m into parts of size at most a
+(Andrews, The Theory of Partitions, ch. 3).  Only subsets with |S| <= a/2
+reach j <= d*k/2, the half of the symmetric row that is ever asked for.
+One table of p_a, grown on demand, and one table of signed subset counts
+by (|S|, sum(S)) are cached per a, so every point of a ray that keeps a
+fixed serves from the same two tables.  The Weyl sum in two variables
+collapses to one difference (Cayley-Sylvester): the multiplicity of
+(d*k - j, j) is [q^j] - [q^(j-1)], and of (d*k) it is [q^0] = 1.  So
+plethysm_multiplicity answers every lam with at most two nonzero parts in
+integer arithmetic without a weight-space count, and only lam with three or
+more parts takes the Weyl sum.  Wider weights go to the pair-count closed
+form (d = 2) or the capped-multiset kernel.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from itertools import accumulate
+from operator import mul
 
-import numpy as np
-
-from .kernels import _INT64_SAFE, count_capped_multisets
+from .kernels import count_capped_multisets
 from .partitions import (
     Partition,
     WeightVector,
@@ -79,30 +88,75 @@ def _pair_weight_count(k: int, mu: WeightVector) -> int:
     return (ordered + diagonal) // 2
 
 
-@lru_cache(maxsize=128)
-def _gaussian_half_row(d: int, k: int) -> np.ndarray:
-    """Coefficients of q^0..q^(dk//2) in the Gaussian binomial [d+k choose d]_q.
+def _divide_by_one_minus(row: list[int], i: int) -> None:
+    """Replace the power series row by row / (1 - q^i), truncated, in place.
 
-    The product of (1 - q^(k+i)) / (1 - q^i) over i = 1..d, truncated at the
-    middle of the symmetric row: each factor is a shifted subtraction followed
-    by a prefix sum of stride i.  Every partial product is a Gaussian
-    binomial [k+i choose i]_q, so no intermediate exceeds comb(d+k, d) in
-    absolute value and int64 is exact below the kernel's 2**62 bound; larger
-    rows are kept as exact Python integers.
+    Dividing by 1 - q^i is a prefix sum over each residue class mod i.
     """
-    size = d * k // 2 + 1
-    dtype = np.int64 if comb(d + k, d) < _INT64_SAFE else object
-    row = np.zeros(size, dtype=dtype)
-    row[0] = 1
-    for i in range(1, d + 1):
-        shift = k + i
-        if shift < size:
-            row[shift:] = row[shift:] - row[: size - shift]
-        # a column of the (-1, i) reshape is one residue class mod i
-        padded = np.concatenate((row, np.zeros(-size % i, dtype=dtype)))
-        row = np.cumsum(padded.reshape(-1, i), axis=0).ravel()[:size]
-    row.flags.writeable = False  # shared by every caller through the cache
-    return row
+    for start in range(i):
+        row[start::i] = accumulate(row[start::i])
+
+
+class _PartitionTable:
+    """p_a(0), p_a(1), ...: partitions of m into parts of size at most a."""
+
+    def __init__(self, a: int):
+        self.a = a
+        self.values = [1]
+
+    def upto(self, m: int) -> list[int]:
+        """The table through p_a(m) at least; it at least doubles when it grows."""
+        if len(self.values) <= m:
+            values = [1] + [0] * max(m, 2 * len(self.values) - 1)
+            for i in range(1, self.a + 1):
+                _divide_by_one_minus(values, i)
+            self.values = values
+        return self.values
+
+
+@lru_cache(maxsize=64)
+def _partition_table(a: int) -> _PartitionTable:
+    return _PartitionTable(a)
+
+
+@lru_cache(maxsize=64)
+def _signed_subset_counts(a: int) -> tuple[tuple[int, ...], ...]:
+    """Row t, for t <= a/2: (-1)^t * #{S in {1..a} : |S| = t, sum(S) = sigma}.
+
+    The row runs over sigma = t(t+1)/2 .. t(t+1)/2 + t(a-t).  Removing the
+    staircase 1..t from the sorted subset leaves a partition in a
+    t x (a-t) box, so row t is (-1)^t times the Gaussian binomial
+    [a choose t]_q; each binomial is the last one times
+    (1 - q^(a-t+1)) / (1 - q^t).
+    """
+    rows = [(1,)]
+    gauss = [1]
+    for t in range(1, a // 2 + 1):
+        shift = a - t + 1
+        gauss = [x - y for x, y in zip(gauss + [0] * shift, [0] * shift + gauss)]
+        _divide_by_one_minus(gauss, t)
+        del gauss[t * (a - t) + 1:]  # the exact quotient's zero tail
+        rows.append(tuple(-c for c in gauss) if t % 2 else tuple(gauss))
+    return tuple(rows)
+
+
+def _two_row_count(d: int, k: int, j: int) -> int:
+    """[q^j] of the Gaussian binomial [d+k choose d]_q, for 0 <= j <= d*k/2.
+
+    The denumerant sum of the module docstring: partitions of j into at
+    most d parts of size at most k.
+    """
+    a, b = min(d, k), max(d, k)
+    p = _partition_table(a).upto(j)
+    total = 0
+    for t, row in enumerate(_signed_subset_counts(a)):
+        # row[i] counts the subsets with sum(S) = t(t+1)/2 + i; they meet p_a(top - i)
+        top = j - t * b - t * (t + 1) // 2
+        if top < 0:
+            break
+        low = max(0, top - len(row) + 1)
+        total += sum(map(mul, row, reversed(p[low:top + 1])))
+    return total
 
 
 def weight_count(d: int, k: int, n: int, mu: WeightVector) -> int:
@@ -125,7 +179,7 @@ def weight_count(d: int, k: int, n: int, mu: WeightVector) -> int:
     if n == 1:
         return 1  # d copies of the single content (k,)
     if n == 2:
-        return int(_gaussian_half_row(d, k)[min(mu)])
+        return _two_row_count(d, k, min(mu))
     if d == 2:
         return _pair_weight_count(k, mu)
     # One coordinate is redundant (contents all have total k); dropping the
@@ -145,9 +199,9 @@ def plethysm_multiplicity(d: int, k: int, lam: Partition) -> int:
     The multiplicity in S^d(S^k C^n) is the same for every n >= l(lam), the
     number of nonzero parts of lam (Macdonald, Symmetric Functions and Hall
     Polynomials, I.8), so written zeros of lam never change the result.  A
-    lam with at most two nonzero parts is one difference of the cached
-    Gaussian row (see the module docstring); wider lam take the Weyl sum
-    over l(lam) variables.
+    lam with at most two nonzero parts is one difference of two
+    Gaussian-binomial coefficients (see the module docstring); wider lam take
+    the Weyl sum over l(lam) variables.
     """
     if d < 1:
         raise ValueError("outer power d must be positive")
@@ -156,12 +210,11 @@ def plethysm_multiplicity(d: int, k: int, lam: Partition) -> int:
     parts = lam.stripped()
     if lam.size != d * k:
         return 0
-    if len(parts) <= 2:
-        row = _gaussian_half_row(d, k)
-        if len(parts) < 2:
-            return int(row[0])
+    if len(parts) < 2:
+        return 1  # lam = (d*k), or k = 0: [q^0] = 1
+    if len(parts) == 2:
         j = parts[1]
-        return int(row[j]) - int(row[j - 1])
+        return _two_row_count(d, k, j) - _two_row_count(d, k, j - 1)
     n = len(parts)
     memo: dict[tuple[int, ...], int] = {}
     total = 0

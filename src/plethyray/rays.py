@@ -156,8 +156,8 @@ def verify_theorem_ray(
 
     The inner mode defaults to min(s_max, 8), the default of
     ``verify-paper --smax-inner``, because the verify-paper report is fixed at
-    that cap; both rays are two-row, so each point is one Gaussian-row
-    difference and cost does not set the cap.
+    that cap; both rays are two-row, so each point is one difference of two
+    Gaussian-binomial coefficients and cost does not set the cap.
     Failures are report content, not exceptions.
     """
     if reference is None:

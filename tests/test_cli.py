@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from plethyray.cli import SCAN_FIELDS, main
+from plethyray.partitions import Partition
 from plethyray.quasipoly import QuasiPolynomial, phi_reference
 
 
@@ -295,6 +296,40 @@ def test_console_entry_point_runs():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "1"
+
+
+def test_two_row_commands_never_import_numpy(tmp_path):
+    # numpy loads only when a weight space in three or more variables reaches
+    # the DP kernel: a scan of two-row rays and a decide run without it
+    import os
+
+    import plethyray
+    from oracle_utils import oracle_multiplicity
+
+    qp_file = tmp_path / "phi.json"
+    qp_file.write_text(json.dumps(phi_reference().to_json_dict()))
+    script = (
+        "import contextlib, io, sys\n"
+        "import plethyray.cli as cli\n"
+        "def call(*argv):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = cli.main(list(argv))\n"
+        "    return code, out.getvalue().strip()\n"
+        "print(call('scan', '--max-boxes', '6')[0], 'numpy' in sys.modules)\n"
+        "print(call('decide', sys.argv[1])[0], 'numpy' in sys.modules)\n"
+        "for lam in ('5,4,3', '6,4,2'):\n"
+        "    print(*call('plethysm', '3', '4', lam), 'numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plethyray.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script, str(qp_file)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    expected = [oracle_multiplicity(3, 4, Partition(lam)) for lam in ((5, 4, 3), (6, 4, 2))]
+    assert expected == [0, 1]
+    assert proc.stdout.splitlines() == [
+        "0 False", "0 False", "0 0 True", "0 1 True",
+    ]
 
 
 @pytest.mark.parametrize("bad", ["missing-dir", "directory"])

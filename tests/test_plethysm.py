@@ -11,7 +11,8 @@ from plethyray import (
     weyl_dimension,
 )
 from plethyray.kernels import count_capped_multisets
-from plethyray.plethysm import _gaussian_half_row
+from plethyray.plethysm import _PartitionTable, _partition_table, _signed_subset_counts
+from plethyray.rays import OUTER, RaySpec, sample_ray
 from oracle_utils import brute_weight_count, oracle_multiplicity, partitions_of
 
 
@@ -215,10 +216,9 @@ def test_two_row_closed_form_matches_three_variable_count():
 
 @pytest.mark.parametrize("d,k,dtype", [(32, 33, "int64"), (33, 33, "object")])
 def test_gaussian_rows_match_python_kernel_at_the_int64_bound(d, k, dtype):
-    # comb(65, 32) < 2**62 <= comb(66, 33): the two sides of the exactness bound,
-    # for the Gaussian rows and for the kernel's int64 and object tables alike
+    # comb(65, 32) < 2**62 <= comb(66, 33): the two sides of the kernel's
+    # exactness bound, where it fills an int64 table and an object table
     assert (comb(d + k, d) >= 2**62) == (dtype == "object")
-    assert _gaussian_half_row(d, k).dtype == dtype
     contents = [(a,) for a in range(k + 1)]
     for j in (0, 1, 7, 100, 400, d * k // 2):
         expected = count_capped_multisets(contents, d, (j,))
@@ -230,18 +230,27 @@ def test_weight_count_returns_int_and_row_cache_is_bounded():
     for d, k in [(3, 4), (33, 33)]:
         assert type(weight_count(d, k, 2, (d * k - 5, 5))) is int
     assert type(weight_count(3, 4, 1, (12,))) is int
-    assert _gaussian_half_row.cache_info().maxsize == 128
-    for k in range(1, 201):
-        weight_count(2, k, 2, (k, k))
-    assert _gaussian_half_row.cache_info().currsize <= 128
-
+    # both two-row caches are keyed by a = min(d, k) and hold at most 64 keys
+    for cache in (_partition_table, _signed_subset_counts):
+        assert cache.cache_info().maxsize == 64
+    for k in range(1, 101):
+        weight_count(k, k, 2, (k * k - 1, 1))
+    for cache in (_partition_table, _signed_subset_counts):
+        assert cache.cache_info().currsize <= 64
+    # one table holds at most twice the entries its largest query needs
+    table = _PartitionTable(3)
+    assert len(table.upto(10)) == 11
+    assert len(table.upto(11)) == 22
+    assert len(table.upto(21)) == 22
+    assert len(table.upto(100)) == 101
+    assert table.upto(12)[12] == 19  # partitions of 12 into parts 1, 2, 3
 
 
 @pytest.mark.parametrize("d,k,dtype", [(32, 33, "int64"), (33, 33, "object")])
 def test_two_row_closed_form_matches_kernel_difference_at_the_int64_bound(d, k, dtype):
-    # the multiplicity of (dk - j, j) is one difference of the Gaussian row;
-    # the kernel counts each coefficient independently, on every j of the half row
-    assert _gaussian_half_row(d, k).dtype == dtype
+    # the multiplicity of (dk - j, j) is one difference of Gaussian-binomial
+    # coefficients; the kernel counts each coefficient independently, on every
+    # j of the half row, with an int64 table at (32, 33) and an object one at (33, 33)
     contents = [(a,) for a in range(k + 1)]
     counts = [count_capped_multisets(contents, d, (j,)) for j in range(d * k // 2 + 1)]
     top = plethysm_multiplicity(d, k, Partition((d * k,)))
@@ -250,3 +259,26 @@ def test_two_row_closed_form_matches_kernel_difference_at_the_int64_bound(d, k, 
         got = plethysm_multiplicity(d, k, Partition((d * k - j, j)))
         assert type(got) is int, j
         assert got == counts[j] - counts[j - 1], j
+
+
+@pytest.mark.parametrize("d,k", [(40, 3), (3, 40), (2, 500), (500, 2)])
+def test_two_row_counts_match_kernel_when_d_and_k_differ(d, k):
+    # the closed form sums over subsets of {1..min(d, k)}: both orders of
+    # (d, k) must give the kernel's count of partitions of j in a d x k box
+    contents = [(a,) for a in range(k + 1)]
+    for j in (0, 1, d * k // 4, d * k // 2):
+        expected = count_capped_multisets(contents, d, (j,))
+        assert weight_count(d, k, 2, (d * k - j, j)) == expected, j
+        assert weight_count(k, d, 2, (d * k - j, j)) == expected, j
+
+
+def test_long_two_row_ray_matches_kernel_differences():
+    # m^{7,2s}_{s(8,6)} for s <= 120: one partition table of parts <= 7 serves
+    # every point, against two kernel counts per point
+    samples = sample_ray(RaySpec(OUTER, 7, 2, Partition((8, 6))), 120)
+    assert samples[0] == 1
+    for s in range(1, 121):
+        contents = [(a,) for a in range(2 * s + 1)]
+        upper = count_capped_multisets(contents, 7, (6 * s,))
+        lower = count_capped_multisets(contents, 7, (6 * s - 1,))
+        assert samples[s] == upper - lower, s
