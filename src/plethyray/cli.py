@@ -15,6 +15,12 @@ import sys
 from fractions import Fraction
 
 from .decider import (
+    HOMOGENEOUS,
+    INHOMOGENEOUS,
+    NOT_REPRESENTABLE,
+    REPRESENTABLE,
+    UNKNOWN,
+    DecisionOutcome,
     decide_homogeneous_1d,
     decide_inhomogeneous_1d,
     replay_certificate,
@@ -138,15 +144,24 @@ def cmd_ray(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _decide(form: str, qp: QuasiPolynomial, **options) -> DecisionOutcome:
+    """Decide qp in form.
+
+    The decider is looked up at call time, so a wrapper installed on this
+    module's decide_* attributes (as perfbench/layertrace.py does) sees it.
+    """
+    decide = decide_inhomogeneous_1d if form == INHOMOGENEOUS else decide_homogeneous_1d
+    return decide(qp, **options)
+
+
 def cmd_decide(args: argparse.Namespace) -> int:
     qp = _read_qp(args.qp_file, f"quasi-polynomial from {args.qp_file}")
-    decide = decide_inhomogeneous_1d if args.form == "inhomogeneous" else decide_homogeneous_1d
     try:
-        outcome = decide(qp, s_max=args.smax, denom_multiplier=args.denom_mult)
+        outcome = _decide(args.form, qp, s_max=args.smax, denom_multiplier=args.denom_mult)
     except ValueError as exc:
         return _usage_error(str(exc))
     _emit_json(outcome.to_json_dict(), args.output)
-    return EXIT_UNKNOWN if outcome.verdict == "unknown" else EXIT_OK
+    return EXIT_UNKNOWN if outcome.verdict == UNKNOWN else EXIT_OK
 
 
 def _theorem_ray_item(smax_outer: int, smax_inner: int, reference: QuasiPolynomial) -> tuple:
@@ -168,7 +183,7 @@ def _inhomogeneous_item(reference: QuasiPolynomial) -> tuple:
     replays = outcome.certificate is not None and replay_certificate(
         outcome.certificate, reference
     )
-    return outcome.verdict == "not_representable" and replays, {
+    return outcome.verdict == NOT_REPRESENTABLE and replays, {
         "verdict": outcome.verdict, "certificate_replays": replays,
     }
 
@@ -176,7 +191,7 @@ def _inhomogeneous_item(reference: QuasiPolynomial) -> tuple:
 def _homogeneous_item(reference: QuasiPolynomial) -> tuple:
     outcome = decide_homogeneous_1d(reference, s_max=24, denom_multiplier=4)
     cert = outcome.certificate
-    return outcome.verdict == "not_representable", {
+    return outcome.verdict == NOT_REPRESENTABLE, {
         "verdict": outcome.verdict,
         "violating_s": None if cert is None else cert.violating_s,
     }
@@ -250,7 +265,7 @@ def _scan_one(d: int, k: int, lam: Partition, form: str, s_max: int) -> list[dic
         found = discover_quasipoly(spec, s_max, samples=samples)
     except ValueError as exc:  # s_max too short for every pair of the ladder
         raise UsageError(str(exc)) from exc
-    forms = ["inhomogeneous", "homogeneous"] if form == "both" else [form]
+    forms = [INHOMOGENEOUS, HOMOGENEOUS] if form == "both" else [form]
     base = {"d": d, "k": k, "lambda": str(lam), "mode": "outer"}
     if isinstance(found, FitFailure):
         return [
@@ -264,15 +279,14 @@ def _scan_one(d: int, k: int, lam: Partition, form: str, s_max: int) -> list[dic
     for fm in forms:
         row = {**base, "form": fm, "period": period, "degree": degree, "qp": qp_json}
         if qp.degree > 1:
-            row["verdict"] = "unknown"
+            row["verdict"] = UNKNOWN
             row["reference"] = f"degree {qp.degree} exceeds the 1-d decider scope"
         else:
-            decide = decide_inhomogeneous_1d if fm == "inhomogeneous" else decide_homogeneous_1d
-            outcome = decide(qp)
+            outcome = _decide(fm, qp)
             row["verdict"] = outcome.verdict
-            if outcome.verdict == "representable":
+            if outcome.verdict == REPRESENTABLE:
                 row["reference"] = json.dumps(outcome.witness.to_json_dict(), sort_keys=True)
-            elif outcome.verdict == "not_representable":
+            elif outcome.verdict == NOT_REPRESENTABLE:
                 cert = outcome.certificate
                 row["reference"] = (
                     f"certificate kind={cert.kind} final_s={cert.final_s} steps={len(cert.steps)}"
@@ -286,7 +300,7 @@ def _scan_one(d: int, k: int, lam: Partition, form: str, s_max: int) -> list[dic
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.rows not in (1, 2):
         return _usage_error("--rows must be 1 or 2")
-    if args.form not in ("inhomogeneous", "homogeneous", "both"):
+    if args.form not in (INHOMOGENEOUS, HOMOGENEOUS, "both"):
         return _usage_error("--form must be inhomogeneous, homogeneous, or both")
     for option, value in (("--max-boxes", args.max_boxes), ("--smax", args.smax)):
         if value < 0:
@@ -332,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dec = sub.add_parser("decide", help="decide 1-D representability of a quasi-polynomial")
     p_dec.add_argument("qp_file", help="JSON file with period/degree/rows")
-    p_dec.add_argument("--form", choices=("inhomogeneous", "homogeneous"),
-                       default="inhomogeneous")
+    p_dec.add_argument("--form", choices=(INHOMOGENEOUS, HOMOGENEOUS),
+                       default=INHOMOGENEOUS)
     p_dec.add_argument("--smax", type=int, default=None)
     p_dec.add_argument("--denom-mult", type=int, default=4)
     p_dec.add_argument("-o", "--output", default=None)

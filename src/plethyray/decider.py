@@ -19,24 +19,24 @@ constraint has integer coefficients on (b, c), (b, cbar) or b alone, so
 every feasibility question, from the initial box on, is settled on one
 exact interval of b (see feasibility).  Every branch system is kept
 irredundant, so its size stays bounded (at most 8 constraints on the stress
-ladder up to period 30) instead of growing with the window; the work is the
-number of branches times a few small integer shadows.  Inputs that are in
-fact not representable tend to empty the disjunction within the first
-period or two.  s_max must be at least 1 in both forms.
+ladder up to period 30; a homogeneous system is an interval of b, at most 2)
+instead of growing with the window; the work is the number of branches times
+a few small integer shadows.  Inputs that are in fact not representable tend
+to empty the disjunction within the first period or two.  s_max must be at
+least 1 in both forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, lcm
+from math import ceil, floor, gcd, lcm
 from typing import NamedTuple
 
 from .feasibility import (
     Bound,
     Constraint,
     LinearSystem3,
-    _pick_in_bound,
     feasible,
     functional_bound,
     make_constraint,
@@ -167,11 +167,7 @@ def _initial_system(form: str) -> LinearSystem3:
     if form == INHOMOGENEOUS:
         cons.append(make_constraint((0, -1, 0), 0, strict=True))  # c > 0
         cons.append(make_constraint((0, 1, 0), 1))  # c <= 1
-    else:
-        cons.append(make_constraint((0, 1, 0), 0))  # c == 0
-        cons.append(make_constraint((0, -1, 0), 0))
-        cons.append(make_constraint((0, 0, 1), 0))  # cbar == 0
-        cons.append(make_constraint((0, 0, -1), 0))
+    # homogeneous: c = cbar = 0, which no constraint or functional reads
     # distinct directions, none implied by the others: already irredundant
     return LinearSystem3(tuple(cons))
 
@@ -223,12 +219,8 @@ def _m_range(system: LinearSystem3, form: str, s: int) -> list[int] | None:
     lo, lo_strict, hi, _ = bound
     if lo is None or hi is None:
         raise AssertionError("lower endpoint must be bounded under the normalizations")
-    if lo_strict and lo.denominator == 1:
-        m_min = int(lo) + 1
-    else:
-        m_min = ceil(lo)
-    m_max = ceil(hi)
-    return list(range(m_min, m_max + 1))
+    m_min = floor(lo) + 1 if lo_strict else ceil(lo)
+    return list(range(m_min, ceil(hi) + 1))
 
 
 def _phase_n(
@@ -299,7 +291,8 @@ def _phase_e(
     count to 0, which keeps the sampled family periodically certifiable.
 
     Every endpoint is a multiple of 1/unit, so the boxes hold integers in
-    units of 1/unit and only the surviving ones become Fractions.
+    units of 1/unit.  Every surviving box is bounded (s = 0 bounds cbar), and
+    the witness offsets are its midpoints, (lo + hi) / (2*unit).
     """
     p = q.period
     grid = p * denom_multiplier
@@ -327,10 +320,7 @@ def _phase_e(
             new_boxes = []
             for c_int, cbar_int in boxes:
                 low = lift + c_int.lo
-                if c_int.lo_strict and low % unit == 0:
-                    m_min = low // unit + 1
-                else:
-                    m_min = -(-low // unit)
+                m_min = low // unit + 1 if c_int.lo_strict else -(-low // unit)
                 for m in range(m_min, -(-(lift + c_int.hi) // unit) + 1):
                     top = m * unit - lift
                     new_c = _intersect(c_int, Bound(top - unit, True, top, False))
@@ -347,8 +337,8 @@ def _phase_e(
             if not boxes:
                 break
         for c_int, cbar_int in boxes:
-            c_val = _pick_in_bound(_in_fractions(c_int, unit))
-            cbar_val = _pick_in_bound(_in_fractions(cbar_int, unit))
+            c_val = Fraction(c_int.lo + c_int.hi, 2 * unit)
+            cbar_val = Fraction(cbar_int.lo + cbar_int.hi, 2 * unit)
             fam = ShiftedIntervalFamily(b0, c_val, b0 + growth, cbar_val)
             qp = periodic_count_qp(fam, p_prime)
             if not isinstance(qp, QuasiPolynomial) or not same_function(qp, q):
@@ -356,17 +346,6 @@ def _phase_e(
             if all(count(fam, t) == q.eval_int(t) for t in range(2 * max(p, p_prime) + 1)):
                 return fam
     return None
-
-
-def _in_fractions(bound: Bound, unit: int) -> Bound:
-    """A bound held in integer units of 1/unit, as Fractions."""
-    lo, lo_strict, hi, hi_strict = bound
-    return Bound(
-        None if lo is None else Fraction(lo, unit),
-        lo_strict,
-        None if hi is None else Fraction(hi, unit),
-        hi_strict,
-    )
 
 
 def _validate_input(q: QuasiPolynomial, s_max: int) -> None:
@@ -485,13 +464,6 @@ def _replay_initial(form: str) -> LinearSystem3:
             make_constraint((0, -1, 0), 0, strict=True),
             make_constraint((0, 1, 0), 1),
         ]
-    else:
-        cons += [
-            make_constraint((0, 1, 0), 0),
-            make_constraint((0, -1, 0), 0),
-            make_constraint((0, 0, 1), 0),
-            make_constraint((0, 0, -1), 0),
-        ]
     return LinearSystem3(tuple(cons))
 
 
@@ -570,13 +542,9 @@ def replay_certificate(cert: Certificate, q: QuasiPolynomial) -> bool:
                 bound = functional_bound(sys, _lower_coeffs(cert.form, s))
                 if bound is None or bound.lo is None or bound.hi is None:
                     return False
-                if bound.lo_strict and bound.lo.denominator == 1:
-                    m_min = int(bound.lo) + 1
-                else:
-                    m_min = ceil(bound.lo)
-                m_max = ceil(bound.hi)
+                m_min = floor(bound.lo) + 1 if bound.lo_strict else ceil(bound.lo)
                 steps_here = by_parent[parent]
-                if [step.m for step in steps_here] != list(range(m_min, m_max + 1)):
+                if [step.m for step in steps_here] != list(range(m_min, ceil(bound.hi) + 1)):
                     return False  # enumeration not exhaustive (or reordered)
                 for step in steps_here:
                     child = sys.extended(

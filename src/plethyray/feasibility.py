@@ -233,52 +233,32 @@ def _b_interval(*groups: list[tuple]) -> list[tuple] | None:
     return _fold([bound for group in groups for bound in _shadow(group)])
 
 
-def _alone_on_its_side(cons: Constraint, rest: list[Constraint]) -> bool:
-    """Whether cons is the only constraint that bounds some unknown from its side.
-
-    Then moving far enough that way from any solution of a feasible rest
-    breaks cons alone, so rest does not imply it.
-    """
-    return any(
-        a and all(other.coeffs[var] * a <= 0 for other in rest)
-        for var, a in enumerate(cons.coeffs)
-    )
-
-
 def _irredundant(constraints: list[Constraint]) -> list[Constraint] | None:
     """Drop, one at a time, each constraint that the remaining ones imply.
 
     Returns None for an infeasible system.  A constraint is implied exactly
-    when the others plus its negation are infeasible.  Only the constraint's
-    own group differs in that test, so it is one shadow of that group,
-    folded with the cached intervals of b that the other two groups allow;
-    a group's interval is recomputed only when one of its constraints is
-    dropped.  A constraint kept at its turn stays irredundant after later
-    drops, since dropping only enlarges the solution set of the others.
+    when the others plus its negation are infeasible, and each constraint
+    gets exactly one such test.  Only the constraint's own group differs in
+    it, so it is one shadow of that group, folded with the cached intervals
+    of b that the other two groups allow; a group's interval is recomputed
+    only when one of its constraints is dropped.  A constraint kept at its
+    turn stays irredundant after later drops, since dropping only enlarges
+    the solution set of the others.
     """
-    kept = list(constraints)
-    rows = [_row(cons) for cons in kept]
+    rows = [_row(cons) for cons in constraints]
     members = _groups(rows)
     allowed = [_fold(_shadow(group)) for group in members]
     if None in allowed or _fold(allowed[0] + allowed[1] + allowed[2]) is None:
         return None
-    i = 0
-    while i < len(kept):
-        cons = kept[i]
-        rest = kept[:i] + kept[i + 1:]
-        if _alone_on_its_side(cons, rest):
-            i += 1
-            continue
-        group, row = rows[i]
+    kept = []
+    for cons, (group, row) in zip(constraints, rows):
         x, y, num, den, strict = row
         others = [other for other in members[group] if other is not row]
         negation = (-x, -y, -num, den, not strict)
         outside = [bound for g in range(3) if g != group for bound in allowed[g]]
         if _fold(outside + _shadow(others + [negation])) is not None:
-            i += 1
+            kept.append(cons)
         else:
-            kept = rest
-            del rows[i]
             members[group] = others
             allowed[group] = _fold(_shadow(others))
     return kept
@@ -394,17 +374,3 @@ def functional_bound(
         else:
             hi, hi_strict = Fraction(num, den * scale), strict
     return Bound(lo, lo_strict, hi, hi_strict)
-
-
-def _pick_in_bound(bound: Bound) -> Fraction:
-    """A deterministic rational value inside a nonempty bound."""
-    lo, lo_strict, hi, hi_strict = bound
-    if lo is None and hi is None:
-        return Fraction(0)
-    if lo is None:
-        return hi - 1 if hi_strict else hi
-    if hi is None:
-        return lo + 1 if lo_strict else lo
-    if lo == hi:
-        return lo
-    return (lo + hi) / 2

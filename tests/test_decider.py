@@ -26,6 +26,7 @@ from plethyray.decider import (
     HOMOGENEOUS,
     INHOMOGENEOUS,
     _first_all_positive,
+    _initial_system,
     _intersect,
     _phase_e,
     _replay_branch,
@@ -35,7 +36,6 @@ from plethyray.feasibility import (
     Bound,
     Constraint,
     LinearSystem3,
-    _pick_in_bound,
     feasible,
     functional_bound,
     make_constraint,
@@ -588,6 +588,20 @@ def test_branch_and_replay_feasibility_checks_make_no_elimination(monkeypatch):
 # --- the witness search in integer units against its Fraction form ----------
 
 
+def _pick_in_bound(bound):
+    """A deterministic rational value inside a nonempty bound."""
+    lo, lo_strict, hi, hi_strict = bound
+    if lo is None and hi is None:
+        return Fraction(0)
+    if lo is None:
+        return hi - 1 if hi_strict else hi
+    if hi is None:
+        return lo + 1 if lo_strict else lo
+    if lo == hi:
+        return lo
+    return (lo + hi) / 2
+
+
 def phase_e_in_fractions(q, form, growth, denom_multiplier):
     """The witness search as it was, on Fraction boxes throughout."""
     full_line = Bound(None, False, None, False)
@@ -676,8 +690,7 @@ def irredundant_reference(constraints):
         cons = kept[i]
         rest = kept[:i] + kept[i + 1:]
         negation = Constraint(tuple(-a for a in cons.coeffs), -cons.rhs, not cons.strict)
-        if feasibility._alone_on_its_side(cons, rest) or \
-                feasibility._satisfiable(rest + [negation]):
+        if feasibility._satisfiable(rest + [negation]):
             i += 1
         else:
             kept = rest
@@ -855,3 +868,18 @@ def test_branch_systems_stay_irredundant_in_both_forms(monkeypatch):
             cons = sys.constraints
             assert len(cons) <= 8
             assert not any(implied_by_others(cons, i) for i in range(len(cons)))
+
+
+def test_homogeneous_systems_hold_b_alone(monkeypatch):
+    initial = _initial_system(HOMOGENEOUS)
+    assert initial == _replay_initial(HOMOGENEOUS)
+    assert len(initial.constraints) == 2
+    inputs = [phi_reference(), *fuzzed_quasipolynomials(), *bumped_planted_families()]
+    extends, bounds = recorded_feasibility_calls(monkeypatch, inputs, (decide_homogeneous_1d,))
+    assert len(extends) >= 40 and len(bounds) >= 40
+    systems = [constraints + new + out.constraints
+               for (constraints, new), out in extends.items()]
+    systems += [constraints for constraints, _ in bounds]
+    for constraints in systems:
+        assert all(cons.coeffs[1:] == (0, 0) for cons in constraints), constraints
+    assert all(coeffs[1:] == (0, 0) for _, coeffs in bounds)
