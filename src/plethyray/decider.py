@@ -30,11 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, gcd, inf, lcm
 from typing import NamedTuple
 
 from .feasibility import (
-    Bound,
     Constraint,
     LinearSystem3,
     feasible,
@@ -263,20 +262,6 @@ def _first_all_positive(q: QuasiPolynomial, growth: Fraction) -> int:
     )
 
 
-def _intersect(a: Bound, b: Bound) -> Bound | None:
-    """Intersection of two rational intervals with open/closed endpoints."""
-    lo, lo_strict = a.lo, a.lo_strict
-    if b.lo is not None and (lo is None or b.lo > lo or (b.lo == lo and b.lo_strict)):
-        lo, lo_strict = b.lo, b.lo_strict
-    hi, hi_strict = a.hi, a.hi_strict
-    if b.hi is not None and (hi is None or b.hi < hi or (b.hi == hi and b.hi_strict)):
-        hi, hi_strict = b.hi, b.hi_strict
-    if lo is not None and hi is not None:
-        if lo > hi or (lo == hi and (lo_strict or hi_strict)):
-            return None
-    return Bound(lo, lo_strict, hi, hi_strict)
-
-
 def _phase_e(
     q: QuasiPolynomial,
     form: str,
@@ -290,15 +275,21 @@ def _phase_e(
     exact interval arithmetic.  Branches at count 0 additionally pin the raw
     count to 0, which keeps the sampled family periodically certifiable.
 
-    Every endpoint is a multiple of 1/unit, so the boxes hold integers in
-    units of 1/unit.  Every surviving box is bounded (s = 0 bounds cbar), and
-    the witness offsets are its midpoints, (lo + hi) / (2*unit).
+    Every endpoint is a multiple of 1/unit, so a box is four integers in units
+    of 1/unit: c in (c_lo, c_hi] and cbar in [lo, hi), since every branch
+    bounds c by (top - unit, top] and cbar by [base, base + unit).  Each m in
+    the range below meets the c-box, and a box is empty exactly when lo >= hi.
+    The inhomogeneous search starts from (0, unit] with cbar unbounded (s = 0
+    bounds it) and samples each midpoint, (lo + hi) / (2*unit).  The
+    homogeneous one starts from (-1, 0] x [0, 1): with integer endpoints,
+    meeting either interval is containing 0, so its boxes pin c = cbar = 0.
     """
     p = q.period
     grid = p * denom_multiplier
     unit = lcm(grid, growth.denominator)
     rise = growth.numerator * (unit // growth.denominator)  # growth in units
     s1 = _first_all_positive(q, growth)
+    start = (0, unit, -inf, inf) if form == INHOMOGENEOUS else (-1, 0, 0, 1)
     targets: list[int] = []  # q(s), evaluated once per s for all slopes
     # coarse slopes first: small certification periods have short windows and
     # cover every family certifiable at the declared period
@@ -308,38 +299,31 @@ def _phase_e(
         slope = j * (unit // grid)  # b0 in units
         p_prime = lcm(p, b0.denominator)
         window = max(2 * p_prime, s1 + p_prime)
-        if form == INHOMOGENEOUS:
-            boxes = [(Bound(0, True, unit, False), Bound(None, False, None, False))]
-        else:
-            boxes = [(Bound(0, False, 0, False), Bound(0, False, 0, False))]
+        boxes = [start]
         for s in range(window + 1):
             if s == len(targets):
                 targets.append(q.eval_int(s))
-            target = targets[s]
             lift = s * slope
+            # floor(upper endpoint) = m + q(s) - 1; at q(s) = 0 this pins the
+            # raw count to exactly 0 (strengthened zero branch)
+            shift = (targets[s] - 1) * unit - s * rise
             new_boxes = []
-            for c_int, cbar_int in boxes:
-                low = lift + c_int.lo
-                m_min = low // unit + 1 if c_int.lo_strict else -(-low // unit)
-                for m in range(m_min, -(-(lift + c_int.hi) // unit) + 1):
+            for c_lo, c_hi, lo, hi in boxes:
+                for m in range((lift + c_lo) // unit + 1, -(-(lift + c_hi) // unit) + 1):
                     top = m * unit - lift
-                    new_c = _intersect(c_int, Bound(top - unit, True, top, False))
-                    if new_c is None:
-                        continue
-                    # floor(upper endpoint) = m + target - 1; at target 0 this
-                    # pins the raw count to exactly 0 (strengthened zero branch)
-                    base = top + (target - 1) * unit - s * rise
-                    new_cbar = _intersect(cbar_int, Bound(base, False, base + unit, True))
-                    if new_cbar is None:
-                        continue
-                    new_boxes.append((new_c, new_cbar))
+                    base = top + shift
+                    new_lo, new_hi = max(lo, base), min(hi, base + unit)
+                    if new_lo < new_hi:
+                        new_boxes.append((max(c_lo, top - unit), min(c_hi, top), new_lo, new_hi))
             boxes = new_boxes
             if not boxes:
                 break
-        for c_int, cbar_int in boxes:
-            c_val = Fraction(c_int.lo + c_int.hi, 2 * unit)
-            cbar_val = Fraction(cbar_int.lo + cbar_int.hi, 2 * unit)
-            fam = ShiftedIntervalFamily(b0, c_val, b0 + growth, cbar_val)
+        for c_lo, c_hi, lo, hi in boxes:
+            if form == INHOMOGENEOUS:
+                c, cbar = Fraction(c_lo + c_hi, 2 * unit), Fraction(lo + hi, 2 * unit)
+            else:
+                c = cbar = 0
+            fam = ShiftedIntervalFamily(b0, c, b0 + growth, cbar)
             qp = periodic_count_qp(fam, p_prime)
             if not isinstance(qp, QuasiPolynomial) or not same_function(qp, q):
                 continue

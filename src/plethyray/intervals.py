@@ -52,10 +52,6 @@ class ShiftedIntervalFamily:
         object.__setattr__(self, "bbar", _as_fraction(bbar))
         object.__setattr__(self, "cbar", _as_fraction(cbar))
 
-    @property
-    def eventually_empty(self) -> bool:
-        return self.bbar < self.b
-
     def to_json_dict(self) -> dict:
         return {
             "b": format_rational(self.b),

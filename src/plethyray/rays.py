@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .partitions import Partition, scale
 from .plethysm import plethysm_multiplicity
-from .quasipoly import FitFailure, QuasiPolynomial, fit, phi_reference
+from .quasipoly import FitFailure, QuasiPolynomial, _as_fraction, fit, phi_reference
 
 OUTER = "outer"
 INNER = "inner"
@@ -94,27 +94,26 @@ def discover_quasipoly(
 
     Returns (qp, period, degree) or the FitFailure of the last (period,
     degree) tried when nothing in the ladder validates; raises ValueError
-    when s_max is too small to try any pair.  Integer samples are
-    screened with exact finite differences: each residue class mod period
-    is a polynomial of degree <= degree exactly when its (degree+1)-th
-    differences at step period all vanish, and each degree differences the
-    previous degree's columns once more.  A class too short to have such a
-    difference passes; class lengths differ by at most one, so then every
-    class passes and ``fit`` sees the short class (and raises).  So ``fit``
-    runs once: on the first pair that passes, where it interpolates and
-    validates every sample, or on the last pair tried, to report its
-    failure.  Other samples go through ``fit`` at every pair.
+    when s_max is too small to try any pair.  Samples (each non-int read
+    once as a Fraction) are screened with exact finite differences: each
+    residue class mod period is a polynomial of degree <= degree exactly
+    when its (degree+1)-th differences at step period all vanish, and each
+    degree differences the previous degree's columns once more.  A class too
+    short to have such a difference passes; class lengths differ by at most
+    one, so then every class passes and ``fit`` sees the short class (and
+    raises).  So ``fit`` runs once: on the first pair that passes, where it
+    interpolates and validates every sample, or on the last pair tried, to
+    report its failure.
     """
     if samples is None:
         samples = sample_ray(spec, s_max)
-    pairs = list(enumerate(samples))
-    values = [value for _, value in pairs]
-    screen = all(type(value) is int for value in values)
+    values = [value if type(value) is int else _as_fraction(value) for value in samples]
+    pairs = list(enumerate(values))
     last: tuple[int, int] | None = None
     for period in periods:
         # the residue classes mod period; differenced once per degree below
         columns = []
-        if screen and period >= 1:
+        if period >= 1:
             columns = [values[start::period] for start in range(period)]
         for degree in range(max_degree + 1):
             columns = [[b - a for a, b in zip(col, col[1:])] for col in columns]

@@ -354,13 +354,18 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, argv, bad):
 
 
 def test_default_scan_csv_is_pinned(capsys):
-    # the default 12-box scan, byte for byte: any change to a sample, a fit,
-    # a verdict or a witness shows here
+    # the default 12-box scan and the 18-box one (194 witness rows against
+    # 92), byte for byte: any change to a sample, a fit, a verdict or a
+    # witness shows here
     import hashlib
 
-    code, out, _ = run(capsys, "scan", "--rows", "2", "--max-boxes", "12", "--form", "both")
-    raw = out.encode("utf-8")
-    assert code == 0 and raw.count(b"\r\n") == 133 and len(raw) == 27334
-    assert hashlib.sha256(raw).hexdigest() == (
-        "e9e2f78731b6d73c81db1042f19db905c35d05cc301f2c9f432d525c49873033"
-    )
+    pins = [
+        ("12", 133, 27334, "e9e2f78731b6d73c81db1042f19db905c35d05cc301f2c9f432d525c49873033"),
+        ("18", 331, 62076, "4af19311963ad2a63ee87d014e4ecc2419f4afd2a9e620ee2a6aca4f2560d7e5"),
+    ]
+    for max_boxes, lines, size, digest in pins:
+        code, out, _ = run(
+            capsys, "scan", "--rows", "2", "--max-boxes", max_boxes, "--form", "both")
+        raw = out.encode("utf-8")
+        assert code == 0 and raw.count(b"\r\n") == lines and len(raw) == size, max_boxes
+        assert hashlib.sha256(raw).hexdigest() == digest, max_boxes

@@ -27,7 +27,6 @@ from plethyray.decider import (
     INHOMOGENEOUS,
     _first_all_positive,
     _initial_system,
-    _intersect,
     _phase_e,
     _replay_branch,
     _replay_initial,
@@ -588,6 +587,20 @@ def test_branch_and_replay_feasibility_checks_make_no_elimination(monkeypatch):
 # --- the witness search in integer units against its Fraction form ----------
 
 
+def _intersect(a, b):
+    """Intersection of two rational intervals with open/closed endpoints."""
+    lo, lo_strict = a.lo, a.lo_strict
+    if b.lo is not None and (lo is None or b.lo > lo or (b.lo == lo and b.lo_strict)):
+        lo, lo_strict = b.lo, b.lo_strict
+    hi, hi_strict = a.hi, a.hi_strict
+    if b.hi is not None and (hi is None or b.hi < hi or (b.hi == hi and b.hi_strict)):
+        hi, hi_strict = b.hi, b.hi_strict
+    if lo is not None and hi is not None:
+        if lo > hi or (lo == hi and (lo_strict or hi_strict)):
+            return None
+    return Bound(lo, lo_strict, hi, hi_strict)
+
+
 def _pick_in_bound(bound):
     """A deterministic rational value inside a nonempty bound."""
     lo, lo_strict, hi, hi_strict = bound
@@ -655,7 +668,8 @@ def phase_e_in_fractions(q, form, growth, denom_multiplier):
 
 
 def test_integer_witness_search_matches_fraction_form():
-    inputs = [*fuzzed_quasipolynomials(), ladder_qp(6), ladder_qp(12), phi_reference(), PARITY]
+    inputs = [*fuzzed_quasipolynomials(), *bumped_planted_families(),
+              ladder_qp(6), ladder_qp(12), ladder_qp(30), phi_reference(), PARITY]
     found = 0
     for q in inputs:
         growth = growth_rate(q)
