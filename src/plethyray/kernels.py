@@ -1,41 +1,41 @@
 """The capped-multiset counting kernel.
 
-The one hot loop in this package: count multisets of a fixed size d, drawn
-with repetition from a list of integer content vectors, whose coordinatewise
-sum equals a target vector.  It is a dynamic program over a numpy table, one
-axis for the multiset size and one per tracked coordinate, filled by
-vectorized shifted adds.
+The one hot loop in this package counts the size-d multisets of integer
+content vectors that sum to ``caps``: a dynamic program with one table per
+multiset size, each packed into one exact Python integer (Kronecker packing).
 
-No cell can exceed the number of size-d multisets of the usable contents,
-comb(len(usable) + d - 1, d).  Below 2**62 the table is int64; otherwise it
-has dtype object, so every cell is an exact Python integer.  Results are
-exact either way.
-
-numpy is imported on the first DP call, not with the module: every query
-with at most two nonzero parts, and every command that counts no weight
-space in three or more variables, runs without it.
+No cell can exceed comb(len(usable) + d - 1, d), so a cell is a digit of w
+bits, that count's bit length, and adding tables never carries.  Cell x sits
+at digit sum(x_i * stride_i): coordinate i has radix 2 * caps_i + 1, the last
+one caps_last + 1.  A usable content m gives x_i + m_i <= 2 * caps_i, so its
+shift never carries into the next coordinate (the last one lands past the
+table), and a mask of the cells x <= caps drops every cell past a cap.  Size
+d is never stored: each content adds the one size-(d - 1) digit it completes.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
-
-_INT64_SAFE = 2**62
+from operator import mul
 
 
 def _dp(contents: list[tuple[int, ...]], d: int, caps: tuple[int, ...]) -> int:
-    import numpy as np
-
-    dtype = np.int64 if comb(len(contents) + d - 1, d) < _INT64_SAFE else object
-    shape = (d + 1,) + tuple(c + 1 for c in caps)
-    table = np.zeros(shape, dtype=dtype)
-    table[(0,) * len(shape)] = 1
+    w = comb(len(contents) + d - 1, d).bit_length()
+    strides = list(accumulate((2 * c + 1 for c in caps[:-1]), mul, initial=1))
+    mask = (1 << w * (caps[0] + 1)) - 1
+    for c, stride in zip(caps[1:], strides[1:]):
+        mask = sum(mask << w * stride * x for x in range(c + 1))
+    top = w * sum(map(mul, caps, strides))
+    digit = (1 << w) - 1
+    tables = [1] + [0] * (d - 1)  # tables[j]: multisets of size j, packed
+    count = 0
     for m in contents:
-        dst = tuple(slice(mi, None) for mi in m)
-        src = tuple(slice(0, c + 1 - mi) for c, mi in zip(caps, m))
-        for j in range(1, d + 1):
-            table[(j,) + dst] += table[(j - 1,) + src]
-    return int(table[(d,) + caps])
+        shift = w * sum(map(mul, m, strides))
+        for j in range(1, d):
+            tables[j] += (tables[j - 1] << shift) & mask
+        count += (tables[-1] >> top - shift) & digit
+    return count
 
 
 def count_capped_multisets(

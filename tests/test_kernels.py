@@ -1,8 +1,9 @@
+import random
+
 import pytest
 from itertools import combinations_with_replacement
 from math import comb
 
-from plethyray import kernels
 from plethyray.kernels import count_capped_multisets
 
 
@@ -29,18 +30,29 @@ CASES = [
 ]
 
 
-# The kernel fills an int64 table ("numpy") below its overflow bound and a
-# table of exact Python ints ("python") above it; a zero bound forces the
-# second table on every case.
-TABLES = ["python", "numpy"]
-
-
-@pytest.mark.parametrize("table", TABLES)
 @pytest.mark.parametrize("contents,d,caps", CASES)
-def test_backends_match_brute_force(table, contents, d, caps, monkeypatch):
-    if table == "python":
-        monkeypatch.setattr(kernels, "_INT64_SAFE", 0)
+def test_kernel_matches_brute_force(contents, d, caps):
     assert count_capped_multisets(contents, d, caps) == brute(contents, d, caps)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+@pytest.mark.parametrize("n_caps", [1, 2, 3])
+def test_kernel_matches_brute_force_on_seeded_cases(n_caps, d):
+    # 67 seeded cases per cell, aimed at the packed table's corners: zero caps
+    # (radix 1), contents equal to a cap (the largest shift that stays inside
+    # a coordinate) and the last coordinate (radix cap + 1, so a shift runs
+    # past the end of the table)
+    rng = random.Random(1000 * n_caps + d)
+    for case in range(67):
+        caps = tuple(rng.choice((0, 0, 1, 2, 3, 4, 5, 6)) for _ in range(n_caps))
+        contents = [tuple(rng.randint(0, c + 1) for c in caps)
+                    for _ in range(rng.randint(1, 5))]
+        contents.append(tuple(caps))
+        if rng.random() < 0.5:
+            contents.append((0,) * len(caps))
+        rng.shuffle(contents)
+        assert count_capped_multisets(contents, d, caps) == brute(contents, d, caps), (
+            case, contents, d, caps)
 
 
 def test_empty_caps_counts_all_multisets():
@@ -57,14 +69,22 @@ def test_unusable_contents_dropped():
     assert count_capped_multisets([(5,), (1,)], 2, (2,)) == 1
 
 
-def test_overflow_guard_routes_to_python():
-    # 400 contents at multiset size 40 overflows the int64 cell bound, so the
-    # kernel must fill an exact object table; the answer is the number of
-    # multisets of size 40 from 400 copies of the zero vector
+def test_wide_cells_stay_exact_at_zero_caps():
+    # 400 copies of the zero vector at multiset size 40: every multiset
+    # qualifies, and each cell needs far more than 64 bits
     contents = [(0,)] * 400
     expected = comb(400 + 40 - 1, 40)
-    assert expected >= 2**62  # the guard really is exercised
+    assert expected >= 2**62
     assert count_capped_multisets(contents, 40, (0,)) == expected
+
+
+def test_wide_cells_stay_exact_at_a_nonzero_cap():
+    # the (1,) once and 39 of the 400 zero vectors: comb(400 + 39 - 1, 39)
+    # multisets, a 186-bit count in a two-cell table
+    contents = [(0,)] * 400 + [(1,)]
+    expected = comb(438, 39)
+    assert expected.bit_length() == 186
+    assert count_capped_multisets(contents, 40, (1,)) == expected
 
 
 def test_rejects_bad_input():

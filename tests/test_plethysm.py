@@ -214,11 +214,11 @@ def test_two_row_closed_form_matches_three_variable_count():
                 assert two == three, (d, k, b)
 
 
-@pytest.mark.parametrize("d,k,dtype", [(32, 33, "int64"), (33, 33, "object")])
-def test_gaussian_rows_match_python_kernel_at_the_int64_bound(d, k, dtype):
-    # comb(65, 32) < 2**62 <= comb(66, 33): the two sides of the kernel's
-    # exactness bound, where it fills an int64 table and an object table
-    assert (comb(d + k, d) >= 2**62) == (dtype == "object")
+@pytest.mark.parametrize("d,k", [(32, 33), (33, 33)])
+def test_gaussian_rows_match_kernel_around_2_to_the_62(d, k):
+    # comb(65, 32) < 2**62 <= comb(66, 33): the kernel's cell bound on either
+    # side of 2**62, where its packed digits are 62 and 63 bits wide
+    assert (comb(d + k, d) >= 2**62) == (d == 33)
     contents = [(a,) for a in range(k + 1)]
     for j in (0, 1, 7, 100, 400, d * k // 2):
         expected = count_capped_multisets(contents, d, (j,))
@@ -246,11 +246,11 @@ def test_weight_count_returns_int_and_row_cache_is_bounded():
     assert table.upto(12)[12] == 19  # partitions of 12 into parts 1, 2, 3
 
 
-@pytest.mark.parametrize("d,k,dtype", [(32, 33, "int64"), (33, 33, "object")])
-def test_two_row_closed_form_matches_kernel_difference_at_the_int64_bound(d, k, dtype):
+@pytest.mark.parametrize("d,k", [(32, 33), (33, 33)])
+def test_two_row_closed_form_matches_kernel_difference_around_2_to_the_62(d, k):
     # the multiplicity of (dk - j, j) is one difference of Gaussian-binomial
     # coefficients; the kernel counts each coefficient independently, on every
-    # j of the half row, with an int64 table at (32, 33) and an object one at (33, 33)
+    # j of the half row, with its cell bound on either side of 2**62
     contents = [(a,) for a in range(k + 1)]
     counts = [count_capped_multisets(contents, d, (j,)) for j in range(d * k // 2 + 1)]
     top = plethysm_multiplicity(d, k, Partition((d * k,)))
