@@ -30,9 +30,32 @@ CASES = [
 ]
 
 
+def dense_table(contents, d, caps):
+    # the recurrence the kernel ran on a numpy table before its tables were
+    # packed into integers, written out one cell at a time
+    usable = [m for m in contents if all(mi <= ci for mi, ci in zip(m, caps))]
+    tables = [{(0,) * len(caps): 1}] + [{} for _ in range(d)]
+    for m in usable:
+        for j in range(1, d + 1):
+            for x, n in tables[j - 1].items():
+                y = tuple(xi + mi for xi, mi in zip(x, m))
+                if all(yi <= ci for yi, ci in zip(y, caps)):
+                    tables[j][y] = tables[j].get(y, 0) + n
+    return tables[d].get(tuple(caps), 0)
+
+
+# The ids name the two tables the kernel filled before packing: "python"
+# checks the packed kernel against brute-force enumeration, "numpy" against
+# the unpacked dense-table recurrence, so a layout fault shows on its own.
+REFERENCES = [pytest.param(brute, id="python"), pytest.param(dense_table, id="numpy")]
+
+
+@pytest.mark.parametrize("reference", REFERENCES)
 @pytest.mark.parametrize("contents,d,caps", CASES)
-def test_kernel_matches_brute_force(contents, d, caps):
-    assert count_capped_multisets(contents, d, caps) == brute(contents, d, caps)
+def test_backends_match_brute_force(reference, contents, d, caps):
+    expected = brute(contents, d, caps)
+    assert reference(contents, d, caps) == expected
+    assert count_capped_multisets(contents, d, caps) == expected
 
 
 @pytest.mark.parametrize("d", range(1, 6))
