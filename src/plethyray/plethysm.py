@@ -17,16 +17,18 @@ two, the dimension of the (d*k - j, j) weight space is the number of
 partitions of j into at most d parts of size at most k, the coefficient of
 q^j in the Gaussian binomial [d+k choose d]_q.  With a = min(d, k) and
 b = max(d, k), expanding the numerator of the product
-prod_{i=1..a} (1 - q^(b+i)) / (1 - q^i) gives the denumerant sum
+prod_{i=1..a} (1 - q^(b+i)) / (1 - q^i) by the q-binomial theorem, and
+[a choose t]_q / prod_{i<=a} (1 - q^i) = 1 / (prod_{i<=t} (1 - q^i) *
+prod_{i<=a-t} (1 - q^i)), gives
 
-    [q^j] = sum over S in {1..a} of (-1)^|S| * p_a(j - |S|*b - sum(S))
+    [q^j] = sum over t of (-1)^t * Q_t(j - t*b - t(t+1)/2)
 
-where p_a(m) counts the partitions of m into parts of size at most a
-(Andrews, The Theory of Partitions, ch. 3).  Only subsets with |S| <= a/2
-reach j <= d*k/2, the half of the symmetric row that is ever asked for.
-One table of p_a, grown on demand, and one table of signed subset counts
-by (|S|, sum(S)) are cached per a, so every point of a ray that keeps a
-fixed serves from the same two tables.  The Weyl sum in two variables
+where Q_t(m) counts the pairs of partitions of sizes summing to m, one into
+parts of size at most t and one into parts of size at most a - t (Andrews,
+The Theory of Partitions, ch. 3).  Only t <= a/2 reach j <= d*k/2, the half
+of the symmetric row that is ever asked for.  One table per a is cached,
+with a row of Q_t per t grown on demand, so every point of a ray that keeps
+a fixed is floor(a/2) + 1 lookups at most.  The Weyl sum in two variables
 collapses to one difference (Cayley-Sylvester): the multiplicity of
 (d*k - j, j) is [q^j] - [q^(j-1)], and of (d*k) it is [q^0] = 1.  So
 plethysm_multiplicity answers every lam with at most two nonzero parts in
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from operator import mul
 
 from .kernels import count_capped_multisets
 from .partitions import (
@@ -98,20 +99,37 @@ def _divide_by_one_minus(row: list[int], i: int) -> None:
 
 
 class _PartitionTable:
-    """p_a(0), p_a(1), ...: partitions of m into parts of size at most a."""
+    """Row t, for t <= a/2: Q_t(0), Q_t(1), ... of the module docstring.
+
+    Row 0 counts the partitions into parts of size at most a; row t is
+    row t - 1 times (1 - q^(a-t+1)) / (1 - q^t).
+    """
 
     def __init__(self, a: int):
         self.a = a
-        self.values = [1]
+        self.rows: list[list[int]] = [[] for _ in range(a // 2 + 1)]
 
-    def upto(self, m: int) -> list[int]:
-        """The table through p_a(m) at least; it at least doubles when it grows."""
-        if len(self.values) <= m:
-            values = [1] + [0] * max(m, 2 * len(self.values) - 1)
+    def row(self, t: int, m: int) -> list[int]:
+        """Row t through Q_t(m) at least; a row at least doubles when it grows."""
+        size = len(self.rows[t])
+        if size <= m:
+            self._build(t, max(m + 1, 2 * size))
+        return self.rows[t]
+
+    def _build(self, t: int, size: int) -> None:
+        """Make row t exactly size entries long, extending row t - 1 first."""
+        if t == 0:
+            row = [1] + [0] * (size - 1)
             for i in range(1, self.a + 1):
-                _divide_by_one_minus(values, i)
-            self.values = values
-        return self.values
+                _divide_by_one_minus(row, i)
+        else:
+            if len(self.rows[t - 1]) < size:
+                self._build(t - 1, size)
+            prev = self.rows[t - 1][:size]
+            shift = self.a - t + 1
+            row = prev[:shift] + [x - y for x, y in zip(prev[shift:], prev)]
+            _divide_by_one_minus(row, t)
+        self.rows[t] = row
 
 
 @lru_cache(maxsize=64)
@@ -119,43 +137,21 @@ def _partition_table(a: int) -> _PartitionTable:
     return _PartitionTable(a)
 
 
-@lru_cache(maxsize=64)
-def _signed_subset_counts(a: int) -> tuple[tuple[int, ...], ...]:
-    """Row t, for t <= a/2: (-1)^t * #{S in {1..a} : |S| = t, sum(S) = sigma}.
-
-    The row runs over sigma = t(t+1)/2 .. t(t+1)/2 + t(a-t).  Removing the
-    staircase 1..t from the sorted subset leaves a partition in a
-    t x (a-t) box, so row t is (-1)^t times the Gaussian binomial
-    [a choose t]_q; each binomial is the last one times
-    (1 - q^(a-t+1)) / (1 - q^t).
-    """
-    rows = [(1,)]
-    gauss = [1]
-    for t in range(1, a // 2 + 1):
-        shift = a - t + 1
-        gauss = [x - y for x, y in zip(gauss + [0] * shift, [0] * shift + gauss)]
-        _divide_by_one_minus(gauss, t)
-        del gauss[t * (a - t) + 1:]  # the exact quotient's zero tail
-        rows.append(tuple(-c for c in gauss) if t % 2 else tuple(gauss))
-    return tuple(rows)
-
-
 def _two_row_count(d: int, k: int, j: int) -> int:
     """[q^j] of the Gaussian binomial [d+k choose d]_q, for 0 <= j <= d*k/2.
 
-    The denumerant sum of the module docstring: partitions of j into at
-    most d parts of size at most k.
+    The alternating sum of Q_t of the module docstring: partitions of j into
+    at most d parts of size at most k.
     """
     a, b = min(d, k), max(d, k)
-    p = _partition_table(a).upto(j)
+    table = _partition_table(a)
     total = 0
-    for t, row in enumerate(_signed_subset_counts(a)):
-        # row[i] counts the subsets with sum(S) = t(t+1)/2 + i; they meet p_a(top - i)
-        top = j - t * b - t * (t + 1) // 2
-        if top < 0:
+    for t in range(a // 2 + 1):
+        m = j - t * b - t * (t + 1) // 2
+        if m < 0:
             break
-        low = max(0, top - len(row) + 1)
-        total += sum(map(mul, row, reversed(p[low:top + 1])))
+        q = table.row(t, m)[m]
+        total += -q if t % 2 else q
     return total
 
 

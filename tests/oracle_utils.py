@@ -7,6 +7,7 @@ shares code paths with the package internals it checks.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
 
@@ -26,6 +27,19 @@ def partitions_of(total, max_parts=None):
             parts.pop()
 
     yield from rec(total, total, [])
+
+
+@lru_cache(maxsize=None)
+def _capped_partition_count(total, cap):
+    return sum(1 for p in partitions_of(total) if all(x <= cap for x in p))
+
+
+def brute_partition_pairs(t, u, m):
+    """Pairs of partitions of sizes summing to m, one into parts <= t, one into parts <= u."""
+    return sum(
+        _capped_partition_count(i, t) * _capped_partition_count(m - i, u)
+        for i in range(m + 1)
+    )
 
 
 def monomial_exponents(k, n):

@@ -11,9 +11,14 @@ from plethyray import (
     weyl_dimension,
 )
 from plethyray.kernels import count_capped_multisets
-from plethyray.plethysm import _PartitionTable, _partition_table, _signed_subset_counts
+from plethyray.plethysm import _PartitionTable, _partition_table
 from plethyray.rays import OUTER, RaySpec, sample_ray
-from oracle_utils import brute_weight_count, oracle_multiplicity, partitions_of
+from oracle_utils import (
+    brute_partition_pairs,
+    brute_weight_count,
+    oracle_multiplicity,
+    partitions_of,
+)
 
 
 def test_inner_monomial_contents_order_and_counts():
@@ -230,20 +235,50 @@ def test_weight_count_returns_int_and_row_cache_is_bounded():
     for d, k in [(3, 4), (33, 33)]:
         assert type(weight_count(d, k, 2, (d * k - 5, 5))) is int
     assert type(weight_count(3, 4, 1, (12,))) is int
-    # both two-row caches are keyed by a = min(d, k) and hold at most 64 keys
-    for cache in (_partition_table, _signed_subset_counts):
-        assert cache.cache_info().maxsize == 64
+    # the one two-row cache is keyed by a = min(d, k) and holds at most 64 keys
+    assert _partition_table.cache_info().maxsize == 64
     for k in range(1, 101):
         weight_count(k, k, 2, (k * k - 1, 1))
-    for cache in (_partition_table, _signed_subset_counts):
-        assert cache.cache_info().currsize <= 64
-    # one table holds at most twice the entries its largest query needs
+    assert _partition_table.cache_info().currsize <= 64
+    # one row holds at most twice the entries its largest query needs
     table = _PartitionTable(3)
-    assert len(table.upto(10)) == 11
-    assert len(table.upto(11)) == 22
-    assert len(table.upto(21)) == 22
-    assert len(table.upto(100)) == 101
-    assert table.upto(12)[12] == 19  # partitions of 12 into parts 1, 2, 3
+    assert len(table.row(0, 10)) == 11
+    assert len(table.row(0, 11)) == 22
+    assert len(table.row(0, 21)) == 22
+    assert len(table.row(0, 100)) == 101
+    assert table.row(0, 12)[12] == 19  # partitions of 12 into parts 1, 2, 3
+
+
+def test_partition_pair_rows_match_brute_force():
+    for a in range(9):
+        table = _PartitionTable(a)
+        for t in range(a // 2 + 1):
+            row = table.row(t, 24)
+            for m in range(25):
+                assert row[m] == brute_partition_pairs(t, a - t, m), (a, t, m)
+
+
+def test_two_row_rows_grow_only_as_far_as_read(monkeypatch):
+    _partition_table.cache_clear()
+    assert weight_count(150, 150, 2, (22499, 1)) == 1
+    table = _partition_table(150)
+    assert len(table.rows[0]) == 2
+    assert all(row == [] for row in table.rows[1:])
+    # m^{12,s}_{s(6,6)} reads rows 0..5 of a = 12 from s = 12 on
+    largest: dict[tuple[int, int], int] = {}
+    read = _PartitionTable.row
+
+    def spy(self, t, m):
+        key = (self.a, t)
+        largest[key] = max(largest.get(key, -1), m)
+        return read(self, t, m)
+
+    _partition_table.cache_clear()
+    monkeypatch.setattr(_PartitionTable, "row", spy)
+    sample_ray(RaySpec(OUTER, 12, 1, Partition((6, 6))), 300)
+    assert {t for a, t in largest if a == 12} == set(range(6))
+    for (a, t), m in largest.items():
+        assert 0 < len(_partition_table(a).rows[t]) <= 2 * (m + 1), (a, t, m)
 
 
 @pytest.mark.parametrize("d,k", [(32, 33), (33, 33)])
