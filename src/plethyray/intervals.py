@@ -134,10 +134,10 @@ def periodic_count_qp(fam: ShiftedIntervalFamily, p: int) -> QuasiPolynomial | N
     """The counting function as a period-p quasi-polynomial, when it is one.
 
     Requires p*b and p*bbar integral, so that the un-clamped count satisfies
-    raw(s+p) = raw(s) + p*(bbar-b).  The clamped count equals that affine
-    function for all s >= 0 exactly when raw stays nonnegative; nonnegativity
-    is checked explicitly on the prefix window up to the least multiple of p
-    past which it holds by per-residue monotonicity.
+    raw(j + p*t) = raw(j) + t*p*(bbar-b).  The clamped count equals that
+    affine function for all s >= 0 exactly when raw stays nonnegative; with a
+    slope gap >= 0 each residue's raw count never decreases in t, so that
+    holds exactly when raw(j) >= 0 for every j < p.
     """
     if p < 1:
         raise ValueError("period must be positive")
@@ -147,20 +147,11 @@ def periodic_count_qp(fam: ShiftedIntervalFamily, p: int) -> QuasiPolynomial | N
     base = [raw_count(fam, j) for j in range(p)]
     if slope < 0:
         return NotPeriodic("negative slope gap: dilations are eventually empty")
-    if slope == 0:
-        if any(r < 0 for r in base):
-            j = next(j for j, r in enumerate(base) if r < 0)
+    j = next((j for j, r in enumerate(base) if r < 0), None)
+    if j is not None:
+        if slope == 0:
             return NotPeriodic(f"raw count is negative at s={j} and never recovers")
-        prefix_end = 0
-    else:
-        periods_needed = 0
-        for j, r in enumerate(base):
-            if r < 0:
-                periods_needed = max(periods_needed, ceil(Fraction(-r) / (p * slope)))
-        prefix_end = periods_needed * p
-    for s in range(prefix_end):
-        if raw_count(fam, s) < 0:
-            return NotPeriodic(f"count clamps at s={s}; not a period-{p} quasi-polynomial")
+        return NotPeriodic(f"count clamps at s={j}; not a period-{p} quasi-polynomial")
     if slope == 0:
         rows = [[base[j]] for j in range(p)]
     else:

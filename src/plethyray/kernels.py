@@ -43,13 +43,16 @@ def count_capped_multisets(
 ) -> int:
     """Number of size-d multisets from ``contents`` summing exactly to ``caps``.
 
-    ``contents`` entries and ``caps`` must be nonnegative; entries exceeding
-    the caps can never be used and are dropped up front.
+    ``contents`` entries and ``caps`` must be nonnegative and every content
+    must have ``len(caps)`` entries; entries exceeding the caps can never be
+    used and are dropped up front.
     """
     if d < 0:
         raise ValueError("multiset size must be nonnegative")
     if any(c < 0 for c in caps):
         raise ValueError("caps must be nonnegative")
+    if any(len(m) != len(caps) for m in contents):
+        raise ValueError("every content must have one entry per cap")
     if any(mi < 0 for m in contents for mi in m):
         raise ValueError("contents entries must be nonnegative")
     usable = [m for m in contents if all(mi <= ci for mi, ci in zip(m, caps))]

@@ -8,7 +8,6 @@ ignored by equality and hashing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, NamedTuple
 
@@ -115,8 +114,9 @@ def signed_weights(lam: Partition, n: int) -> list[SignedWeight]:
     """All n! pairs (sgn(w), w(lam+rho)-rho).
 
     Enumerates the full symmetric group; intended for the small n (<= 4 or so)
-    where an explicit list is useful.  The plethysm engine uses a pruned
-    equivalent for larger n.
+    where an explicit list is useful.  The plethysm engine uses
+    iter_nonnegative_signed_weights, a depth-first search that yields only
+    the terms with every entry nonnegative and never visits the rest.
     """
     padded = lam.padded(n)
     staircase = rho(n)
@@ -128,58 +128,36 @@ def signed_weights(lam: Partition, n: int) -> list[SignedWeight]:
     return out
 
 
-@lru_cache(maxsize=256)
-def _surviving_permutations(
-    capped: tuple[int, ...],
-) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """The permutations whose weight w(lam+rho)-rho is nonnegative.
-
-    Each is given as (sign, ((j, i - j) for each position i)), where j is the
-    entry of lam + rho placed at position i, so that the weight's entry at i
-    is lam_j + i - j.
-
-    capped is lam with every part capped at n - 1: lam_j + i - j is negative
-    only when lam_j < j - i <= n - 1, so the survivors depend on nothing else.
-    Positions are filled by depth-first search, cutting a branch as soon as
-    an entry would go negative; the sign is the parity of the positions the
-    chosen indices held in the list of those still free.
-    """
-    n = len(capped)
-    out = []
-    choice = [0] * n
-
-    def rec(pos: int, free: list[int], parity: int) -> None:
-        if pos == n:
-            places = tuple((j, i - j) for i, j in enumerate(choice))
-            out.append((-1 if parity else 1, places))
-            return
-        for index, j in enumerate(free):
-            if capped[j] + pos - j < 0:
-                continue
-            choice[pos] = j
-            rec(pos + 1, free[:index] + free[index + 1:], parity ^ (index & 1))
-
-    rec(0, list(range(n)), 0)
-    return tuple(out)
-
-
 def iter_nonnegative_signed_weights(lam: Partition, n: int) -> list[SignedWeight]:
     """Exactly the signed weights whose entries are all nonnegative.
 
     Equivalent to filtering signed_weights(lam, n) but without enumerating
-    all n! permutations: the surviving permutations come from a table cached
-    per pattern of parts capped at n - 1 (see _surviving_permutations).  The
-    skipped terms contribute nothing to the alternating weight-count sum
-    (negative weights have empty weight spaces).
+    all n! permutations: positions are filled in order by depth-first
+    search, placing the entry j of lam + rho at position i as the weight
+    entry lam_j + i - j, and a branch is cut at its first negative entry.
+    The sign is the parity of the places the chosen indices held among the
+    indices still free.  The skipped terms contribute nothing to the
+    alternating weight-count sum (negative weights have empty weight spaces).
     """
     if n < 1:
         raise ValueError("need n >= 1")
     padded = lam.padded(n)
-    table = _surviving_permutations(tuple(min(part, n - 1) for part in padded))
-    return [
-        SignedWeight(sign, tuple([padded[j] + offset for j, offset in places]))
-        for sign, places in table
-    ]
+    out = []
+    weight = [0] * n
+
+    def rec(pos: int, free: list[int], parity: int) -> None:
+        if pos == n:
+            out.append(SignedWeight(-1 if parity else 1, tuple(weight)))
+            return
+        for index, j in enumerate(free):
+            entry = padded[j] + pos - j
+            if entry < 0:
+                continue
+            weight[pos] = entry
+            rec(pos + 1, free[:index] + free[index + 1:], parity ^ (index & 1))
+
+    rec(0, list(range(n)), 0)
+    return out
 
 
 def weyl_dimension(lam: Partition, n: int) -> int:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from fractions import Fraction
+from math import ceil, floor
 
 from plethyray import (
     NotPeriodic,
@@ -179,6 +180,31 @@ def test_periodic_count_qp_matches_counts_when_it_succeeds():
         if gap > 0:
             for s in range(10 * p):
                 assert count(family, s + p) - count(family, s) in (p * gap,)
+
+
+def test_periodic_count_qp_certifies_exactly_the_unclamped_families():
+    # both sides: a quasi-polynomial comes back exactly when the slope gap is
+    # >= 0 and the unclamped count is >= 0 on the first period, and then it
+    # matches the counts; otherwise the answer is a refusal
+    rng = random.Random(2024)
+    outcomes = {True: 0, False: 0}
+    for _ in range(400):
+        p = rng.choice([1, 2, 3, 4, 5, 6])
+        b = Fraction(rng.randrange(-2 * p, 2 * p + 1), p)
+        bbar = b + Fraction(rng.randrange(-2, p + 2), p)
+        c = Fraction(rng.randrange(-12, 13), rng.randrange(1, 7))
+        cbar = Fraction(rng.randrange(-12, 13), rng.randrange(1, 7))
+        family = ShiftedIntervalFamily(b, c, bbar, cbar)
+        unclamped = [floor(s * bbar + cbar) - ceil(s * b + c) + 1 for s in range(p)]
+        expected = bbar >= b and min(unclamped) >= 0
+        qp = periodic_count_qp(family, p)
+        assert isinstance(qp, QuasiPolynomial) == expected, (family, p)
+        assert isinstance(qp, NotPeriodic) != expected
+        outcomes[expected] += 1
+        if expected:
+            for s in range(10 * p + 1):
+                assert qp.eval(s) == brute_interval_count(s * b + c, s * bbar + cbar)
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_family_json_round_trip():

@@ -115,3 +115,14 @@ def test_rejects_bad_input():
         count_capped_multisets([(1,)], -1, (1,))
     with pytest.raises(ValueError):
         count_capped_multisets([(1,)], 1, (-1,))
+
+
+def test_rejects_contents_of_another_length():
+    # a content is a point with one entry per cap; zipping a longer or
+    # shorter one against the caps would count the wrong thing
+    with pytest.raises(ValueError):
+        count_capped_multisets([(1, 2, 3)], 1, (1, 2))
+    with pytest.raises(ValueError):
+        count_capped_multisets([(1, 2), (1,)], 1, (1, 2))
+    with pytest.raises(ValueError):
+        count_capped_multisets([(0,)], 0, ())

@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement
 from math import comb, factorial
 
 from plethyray import Partition, rho, scale, signed_weights, weyl_dimension
-from plethyray.partitions import _surviving_permutations, iter_nonnegative_signed_weights
+from plethyray.partitions import iter_nonnegative_signed_weights
 
 
 def test_scale_theorem_ray():
@@ -102,17 +102,26 @@ def test_cached_weyl_terms_match_naive_filter_exhaustively():
     assert checked == 3002
 
 
-def test_weyl_term_cache_is_bounded():
-    for n in range(1, 6):
-        for parts in combinations_with_replacement(range(9, -1, -1), n):
-            list(iter_nonnegative_signed_weights(Partition(parts), n))
-    info = _surviving_permutations.cache_info()
-    assert info.maxsize == 256 and info.currsize <= 256
-    # parts at or above n - 1 share one pattern: (9, 8) and (1, 1) hit the same entry
-    before = _surviving_permutations.cache_info().hits
-    list(iter_nonnegative_signed_weights(Partition((9, 8)), 2))
-    list(iter_nonnegative_signed_weights(Partition((1, 1)), 2))
-    assert _surviving_permutations.cache_info().hits >= before + 2
+def test_all_ones_in_ten_variables_keeps_two_to_the_ninth_terms():
+    # 10! permutations, but position i can take only the index j <= i + 1,
+    # so the survivors are the products of cycles (a a+1 ... b) on the
+    # blocks of a composition of 10: each block of length L gives the
+    # entries 0, ..., 0, L and the sign (-1)^(L - 1)
+    expected = []
+    for cuts in range(2**9):
+        blocks, length = [], 1
+        for i in range(9):
+            if cuts >> i & 1:
+                blocks.append(length)
+                length = 1
+            else:
+                length += 1
+        blocks.append(length)
+        weight = tuple(entry for L in blocks for entry in (0,) * (L - 1) + (L,))
+        expected.append(((-1) ** (10 - len(blocks)), weight))
+    terms = iter_nonnegative_signed_weights(Partition((1,) * 10), 10)
+    assert len(terms) == 2**9
+    assert sorted(terms) == sorted(expected)
 
 
 def test_weyl_dimension_examples():

@@ -200,6 +200,15 @@ def test_multiplicities_never_negative_sweep():
             assert plethysm_multiplicity(d, k, Partition(lam)) >= 0
 
 
+def test_outer_power_of_the_standard_representation_is_one_row():
+    # S^d(S^1) = S^d: every lam of d <= 9 but (d) has multiplicity 0, and the
+    # Weyl sum runs in up to 9 variables, where the n! list is 362,880 terms
+    for d in range(1, 10):
+        for lam in partitions_of(d):
+            expected = 1 if lam == (d,) else 0
+            assert plethysm_multiplicity(d, 1, Partition(lam)) == expected, lam
+
+
 def test_two_variable_weight_count_matches_brute_force():
     for d in range(1, 7):
         for k in range(1, 7):
