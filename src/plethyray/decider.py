@@ -40,14 +40,13 @@ from .feasibility import (
     functional_bound,
     make_constraint,
 )
-from .intervals import ShiftedIntervalFamily, count, periodic_count_qp
+from .intervals import ShiftedIntervalFamily, periodic_count_qp
 from .quasipoly import (
     QuasiPolynomial,
     format_rational,
     growth_rate,
     parse_rational,
     reciprocity_violations,
-    same_function,
 )
 
 INHOMOGENEOUS = "inhomogeneous"
@@ -272,8 +271,9 @@ def _phase_e(
 
     With the slope pinned, no constraint couples the two offsets: every branch
     is a product of a c-interval and a cbar-interval, so the search is plain
-    exact interval arithmetic.  Branches at count 0 additionally pin the raw
-    count to 0, which keeps the sampled family periodically certifiable.
+    exact interval arithmetic.  Branches at count 0 also pin the raw count to
+    0, so a sampled family stays certifiable; it is returned exactly when
+    periodic_count_qp(fam, p') == q.with_period(p'), p' = lcm(p, den b).
 
     Every endpoint is a multiple of 1/unit, so a box is four integers in units
     of 1/unit: c in (c_lo, c_hi] and cbar in [lo, hi), since every branch
@@ -293,11 +293,9 @@ def _phase_e(
     targets: list[int] = []  # q(s), evaluated once per s for all slopes
     # coarse slopes first: small certification periods have short windows and
     # cover every family certifiable at the declared period
-    candidates = sorted(range(grid), key=lambda j: (lcm(p, grid // gcd(j, grid)), j))
-    for j in candidates:
+    for p_prime, j in sorted((lcm(p, grid // gcd(j, grid)), j) for j in range(grid)):
         b0 = Fraction(j, grid)
         slope = j * (unit // grid)  # b0 in units
-        p_prime = lcm(p, b0.denominator)
         window = max(2 * p_prime, s1 + p_prime)
         boxes = [start]
         for s in range(window + 1):
@@ -324,10 +322,7 @@ def _phase_e(
             else:
                 c = cbar = 0
             fam = ShiftedIntervalFamily(b0, c, b0 + growth, cbar)
-            qp = periodic_count_qp(fam, p_prime)
-            if not isinstance(qp, QuasiPolynomial) or not same_function(qp, q):
-                continue
-            if all(count(fam, t) == q.eval_int(t) for t in range(2 * max(p, p_prime) + 1)):
+            if periodic_count_qp(fam, p_prime) == q.with_period(p_prime):
                 return fam
     return None
 

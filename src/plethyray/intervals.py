@@ -126,7 +126,7 @@ def canonicalize(
         gap = cons.slope - up.slope
         if gap == 0:
             continue
-        s0 = max(s0, ceil(Fraction(cons.offset - up.offset) / gap))
+        s0 = max(s0, ceil(Fraction(up.offset - cons.offset) / gap))
     return ShiftedIntervalFamily(lo.slope, lo.offset, up.slope, up.offset), max(0, s0)
 
 

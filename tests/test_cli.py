@@ -187,6 +187,19 @@ def test_verify_paper_default_passes(tmp_path, capsys):
     assert err.count("PASS") == 6
 
 
+def test_verify_paper_stdout_is_pinned(capsys):
+    # the default verify-paper JSON report byte for byte: any change to a ray
+    # value, a verdict, a certificate replay or a witness shows here
+    import hashlib
+
+    code, out, _ = run(capsys, "verify-paper")
+    raw = out.encode("utf-8")
+    assert code == 0 and raw.count(b"\n") == 270 and len(raw) == 4320
+    assert hashlib.sha256(raw).hexdigest() == (
+        "aa97089e7bcfdc500467a60c05974fa7ba9e38681d3a6a94b54227ad773b210d"
+    )
+
+
 def test_verify_paper_smax_outer_zero_still_passes(capsys):
     code, out, _ = run(capsys, "verify-paper", "--smax-outer", "0", "--smax-inner", "0")
     assert code == 0

@@ -113,6 +113,37 @@ def test_canonicalize_binding_pair_counts_agree_past_threshold():
         assert count(family, s) == brute_interval_count(lo, hi)
 
 
+def test_canonicalize_upper_threshold_and_random_systems():
+    # the upper (2/3)s - 7 stays below s/2 until s = 42: at s = 12 the full
+    # system is empty while the pair alone counts 3
+    def full_count(lowers, uppers, s):
+        lo = max(s * cons.slope + cons.offset for cons in lowers)
+        hi = min(s * cons.slope + cons.offset for cons in uppers)
+        return max(0, floor(hi) - ceil(lo) + 1)
+
+    lowers = [ShiftedConstraint("lower", Fraction(1, 3), 0)]
+    uppers = [ShiftedConstraint("upper", Fraction(1, 2), 0),
+              ShiftedConstraint("upper", Fraction(2, 3), -7)]
+    family, s0 = canonicalize(lowers, uppers)
+    assert (family.bbar, family.cbar, s0) == (Fraction(1, 2), 0, 42)
+    assert full_count(lowers, uppers, 12) == 0 and count(family, 12) == 3
+    for s in range(s0, s0 + 61):
+        assert count(family, s) == full_count(lowers, uppers, s), s
+
+    rng = random.Random(1507)
+
+    def side(direction):
+        return [ShiftedConstraint(direction, Fraction(rng.randrange(-6, 7), rng.randrange(1, 7)),
+                                  Fraction(rng.randrange(-30, 31), rng.randrange(1, 4)))
+                for _ in range(rng.randrange(1, 4))]
+
+    for _ in range(300):
+        lowers, uppers = side("lower"), side("upper")
+        family, s0 = canonicalize(lowers, uppers)
+        for s in range(s0, s0 + 61):
+            assert count(family, s) == full_count(lowers, uppers, s), (lowers, uppers, s)
+
+
 def test_canonicalize_validation():
     with pytest.raises(ValueError):
         canonicalize([], [ShiftedConstraint("upper", 1, 0)])

@@ -87,7 +87,7 @@ def test_pruned_enumeration_matches_naive_filter():
         assert sorted(pruned) == sorted(naive)
 
 
-def test_cached_weyl_terms_match_naive_filter_exhaustively():
+def test_weyl_terms_match_naive_filter_exhaustively():
     # every partition with parts <= 7 in n <= 6 variables, zeros included
     checked = 0
     for n in range(1, 7):

@@ -137,7 +137,7 @@ def test_written_zeros_match_oracle_sweep():
 
 
 def test_dimension_conservation_small():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         for d, k in [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (2, 5)]:
             total = 0
             for lam in partitions_of(d * k, n):
@@ -207,6 +207,21 @@ def test_outer_power_of_the_standard_representation_is_one_row():
         for lam in partitions_of(d):
             expected = 1 if lam == (d,) else 0
             assert plethysm_multiplicity(d, 1, Partition(lam)) == expected, lam
+
+
+def test_outer_power_has_at_most_d_rows():
+    # S^d(S^k) sits inside the d-th tensor power of S^k, so no constituent has
+    # more than d rows: 212 partitions of dk <= 10 with more than d parts, for
+    # d <= 3; at d = 2 they are the pair-count route, where the Weyl sum must
+    # cancel to 0
+    cases = 0
+    for d in (1, 2, 3):
+        for k in range(1, 10 // d + 1):
+            for lam in partitions_of(d * k):
+                if len(lam) > d:
+                    assert plethysm_multiplicity(d, k, Partition(lam)) == 0, (d, k, lam)
+                    cases += 1
+    assert cases == 212
 
 
 def test_two_variable_weight_count_matches_brute_force():
