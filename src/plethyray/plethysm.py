@@ -30,11 +30,21 @@ of the symmetric row that is ever asked for.  One table per a is cached,
 with a row of Q_t per t grown on demand, so every point of a ray that keeps
 a fixed is floor(a/2) + 1 lookups at most.  The Weyl sum in two variables
 collapses to one difference (Cayley-Sylvester): the multiplicity of
-(d*k - j, j) is [q^j] - [q^(j-1)], and of (d*k) it is [q^0] = 1.  So
-plethysm_multiplicity answers every lam with at most two nonzero parts in
-integer arithmetic without a weight-space count, and only lam with three or
-more parts takes the Weyl sum.  Wider weights go to the pair-count closed
-form (d = 2) or the capped-multiset kernel.
+(d*k - j, j) is [q^j] - [q^(j-1)], and of (d*k) it is [q^0] = 1.  Both
+coefficients run over the same t, so two_row_multiplicity takes the
+difference term by term,
+
+    m = sum over t of (-1)^t * (Q_t(m_t) - Q_t(m_t - 1)),  m_t = j - t*b - t(t+1)/2,
+
+with Q_t(-1) = 0: one pass, and one row read per t.  plethysm_multiplicity
+answers every lam with at most two nonzero parts this way, in integer
+arithmetic without a weight-space count, and rays.sample_ray calls
+two_row_multiplicity directly for every point of such a ray.  A lam with more
+than d nonzero parts is 0 before any sum: S^d(S^k) lies in h_k^d, which by
+Pieri's rule has no constituent with more than d rows.  So only lam with
+three to d nonzero parts takes the Weyl sum, and its weights go to the
+capped-multiset kernel; the pair-count closed form (d = 2) serves direct
+weight_count calls in three or more variables.
 """
 
 from __future__ import annotations
@@ -72,7 +82,10 @@ def _pair_weight_count(k: int, mu: WeightVector) -> int:
     """Multisets of two degree-k contents summing to mu (mu >= 0, |mu| = 2k).
 
     Ordered pairs (m, mu-m) are counted by a small per-coordinate DP, then
-    folded to unordered pairs.
+    folded to unordered pairs.  m -> mu - m is an involution on the ordered
+    pairs whose only possible fixed point is mu/2, so the ordered count is odd
+    exactly when the diagonal pair (mu/2, mu/2) exists, and the unordered count
+    is (ordered + 1) // 2.
     """
     ways = [0] * (k + 1)
     ways[0] = 1
@@ -84,9 +97,7 @@ def _pair_weight_count(k: int, mu: WeightVector) -> int:
             for take in range(0, min(cap, k - partial) + 1):
                 nxt[partial + take] += cnt
         ways = nxt
-    ordered = ways[k]
-    diagonal = 1 if all(m % 2 == 0 for m in mu) else 0
-    return (ordered + diagonal) // 2
+    return (ways[k] + 1) // 2
 
 
 def _divide_by_one_minus(row: list[int], i: int) -> None:
@@ -155,6 +166,26 @@ def _two_row_count(d: int, k: int, j: int) -> int:
     return total
 
 
+def two_row_multiplicity(d: int, k: int, j: int) -> int:
+    """m^{d,k} of (d*k - j, j), for 0 <= j <= d*k/2: [q^j] - [q^(j-1)] in one pass.
+
+    Both coefficients are alternating sums of Q_t over the same t (see the
+    module docstring), at m and m - 1 of one row, so each t reads one row
+    once; Q_t(-1) is 0.
+    """
+    a, b = min(d, k), max(d, k)
+    table = _partition_table(a)
+    total = 0
+    for t in range(a // 2 + 1):
+        m = j - t * b - t * (t + 1) // 2
+        if m < 0:
+            break
+        row = table.row(t, m)
+        diff = row[m] - row[m - 1] if m else row[0]
+        total += -diff if t % 2 else diff
+    return total
+
+
 def weight_count(d: int, k: int, n: int, mu: WeightVector) -> int:
     """Dimension of the mu-weight space of S^d(S^k C^n).
 
@@ -196,8 +227,9 @@ def plethysm_multiplicity(d: int, k: int, lam: Partition) -> int:
     number of nonzero parts of lam (Macdonald, Symmetric Functions and Hall
     Polynomials, I.8), so written zeros of lam never change the result.  A
     lam with at most two nonzero parts is one difference of two
-    Gaussian-binomial coefficients (see the module docstring); wider lam take
-    the Weyl sum over l(lam) variables.
+    Gaussian-binomial coefficients, taken by two_row_multiplicity (see the
+    module docstring); a lam with more than d nonzero parts is 0 (Pieri); the
+    others take the Weyl sum over l(lam) variables.
     """
     if d < 1:
         raise ValueError("outer power d must be positive")
@@ -209,8 +241,9 @@ def plethysm_multiplicity(d: int, k: int, lam: Partition) -> int:
     if len(parts) < 2:
         return 1  # lam = (d*k), or k = 0: [q^0] = 1
     if len(parts) == 2:
-        j = parts[1]
-        return _two_row_count(d, k, j) - _two_row_count(d, k, j - 1)
+        return two_row_multiplicity(d, k, parts[1])
+    if len(parts) > d:
+        return 0  # S^d(S^k) lies in h_k^d, whose constituents have at most d rows
     n = len(parts)
     memo: dict[tuple[int, ...], int] = {}
     total = 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .partitions import Partition, scale
-from .plethysm import plethysm_multiplicity
+from .plethysm import plethysm_multiplicity, two_row_multiplicity
 from .quasipoly import FitFailure, QuasiPolynomial, _as_fraction, fit, phi_reference
 
 OUTER = "outer"
@@ -54,10 +54,24 @@ def ray_value(spec: RaySpec, s: int) -> int:
 
 
 def sample_ray(spec: RaySpec, s_max: int) -> list[int]:
-    """Multiplicities for s = 0..s_max, in s order."""
+    """Multiplicities for s = 0..s_max, in s order.
+
+    lam is stripped once.  A ray with at most two nonzero parts (dk - j, j)
+    reads each point s >= 1 as one two_row_multiplicity call, with
+    (d, s*k, s*j) on an outer ray and (s*d, k, s*j) on an inner one; a
+    one-row ray is 1 throughout.  Wider rays take ray_value point by point.
+    """
     if s_max < 0:
         raise ValueError("s_max must be nonnegative")
-    return [ray_value(spec, s) for s in range(s_max + 1)]
+    parts = spec.lam.stripped()
+    if len(parts) > 2:
+        return [ray_value(spec, s) for s in range(s_max + 1)]
+    if len(parts) < 2:
+        return [1] * (s_max + 1)
+    d, k, j = spec.d, spec.k, parts[1]
+    if spec.mode == OUTER:
+        return [1] + [two_row_multiplicity(d, s * k, s * j) for s in range(1, s_max + 1)]
+    return [1] + [two_row_multiplicity(s * d, k, s * j) for s in range(1, s_max + 1)]
 
 
 def extract_quasipoly(

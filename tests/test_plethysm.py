@@ -1,4 +1,5 @@
 import pytest
+from itertools import product
 from math import comb
 
 from plethyray import (
@@ -11,7 +12,7 @@ from plethyray import (
     weyl_dimension,
 )
 from plethyray.kernels import count_capped_multisets
-from plethyray.plethysm import _PartitionTable, _partition_table
+from plethyray.plethysm import _PartitionTable, _partition_table, two_row_multiplicity
 from plethyray.rays import OUTER, RaySpec, sample_ray
 from oracle_utils import (
     brute_partition_pairs,
@@ -222,6 +223,33 @@ def test_outer_power_has_at_most_d_rows():
                     assert plethysm_multiplicity(d, k, Partition(lam)) == 0, (d, k, lam)
                     cases += 1
     assert cases == 212
+
+
+def test_pair_weight_count_matches_brute_force_in_three_and_four_variables():
+    # d = 2 in n >= 3 variables is the pair count; it folds ordered pairs with
+    # (ordered + 1) // 2, so mu whose odd entries all lie past the first two
+    # coordinates (no diagonal pair, although mu[:2] is even) must be covered
+    late_odd = 0
+    for n in (3, 4):
+        for k in range(6):
+            for mu in product(range(2 * k + 1), repeat=n):
+                if sum(mu) != 2 * k:
+                    continue
+                odd = [m % 2 for m in mu]
+                late_odd += not any(odd[:2]) and any(odd)
+                assert weight_count(2, k, n, mu) == brute_weight_count(2, k, n, mu), mu
+    assert late_odd == 70
+
+
+def test_two_row_multiplicity_matches_oracle():
+    cases = 0
+    for d in range(1, 13):
+        for k in range(1, 12 // d + 1):
+            for j in range(d * k // 2 + 1):
+                lam = Partition((d * k - j, j))
+                assert two_row_multiplicity(d, k, j) == oracle_multiplicity(d, k, lam), (d, k, j)
+                cases += 1
+    assert cases == 161
 
 
 def test_two_variable_weight_count_matches_brute_force():

@@ -16,7 +16,7 @@ from plethyray import (
     scale,
     verify_theorem_ray,
 )
-from plethyray.rays import PERIOD_LADDER
+from plethyray.rays import PERIOD_LADDER, ray_value
 
 
 THEOREM_LAM = Partition((7, 5, 0))
@@ -51,6 +51,24 @@ def test_sample_ray_normalizes_s_zero():
     for spec in (RaySpec("outer", 2, 3, Partition((5, 1))),
                  RaySpec("inner", 2, 3, Partition((5, 1)))):
         assert sample_ray(spec, 0) == [1]
+
+
+def test_two_row_sample_ray_matches_ray_value():
+    # the one-pass path of sample_ray against ray_value point by point, for
+    # every ray with d, k <= 6 and at most two nonzero parts, with and without
+    # a written zero; the one-row lam are j = 0
+    rays = 0
+    for d in range(1, 7):
+        for k in range(1, 7):
+            for j in range(d * k // 2 + 1):
+                parts = (d * k - j, j) if j else (d * k,)
+                for lam in (parts, parts + (0,)):
+                    for mode in ("outer", "inner"):
+                        spec = RaySpec(mode, d, k, Partition(lam))
+                        expected = [ray_value(spec, s) for s in range(13)]
+                        assert sample_ray(spec, 12) == expected, spec
+                        rays += 1
+    assert rays == 4 * sum(d * k // 2 + 1 for d in range(1, 7) for k in range(1, 7))
 
 
 def test_outer_and_inner_agree_on_theorem_ray():
