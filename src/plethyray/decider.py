@@ -205,20 +205,17 @@ def _branch_constraints(
     return cons
 
 
-def _m_range(system: LinearSystem3, form: str, s: int) -> list[int] | None:
-    """All integers m that can equal ceil of the lower endpoint; None if infeasible.
+def _m_range(system: LinearSystem3, form: str, s: int) -> range:
+    """All integers m that can equal ceil of the lower endpoint of a feasible system.
 
     Exact by construction: the functional's range over the polyhedron is
     computed exactly, with strictness tracking.
     """
     bound = functional_bound(system, _lower_coeffs(form, s))
-    if bound is None:
-        return None
-    lo, lo_strict, hi, _ = bound
-    if lo is None or hi is None:
-        raise AssertionError("lower endpoint must be bounded under the normalizations")
-    m_min = floor(lo) + 1 if lo_strict else ceil(lo)
-    return list(range(m_min, ceil(hi) + 1))
+    if bound is None or bound.lo is None or bound.hi is None:
+        raise AssertionError("a feasible system must bound the lower endpoint")
+    m_min = floor(bound.lo) + 1 if bound.lo_strict else ceil(bound.lo)
+    return range(m_min, ceil(bound.hi) + 1)
 
 
 def _phase_n(
@@ -429,8 +426,9 @@ def decide_homogeneous_1d(
 #
 # The replayer rebuilds everything from (q, the recorded branch integers)
 # alone, on purpose sharing only the feasibility primitives with the decider:
-# constraint construction is duplicated below so that a bug in the decider's
-# builder cannot silently validate its own certificates.
+# constraint construction and the lower-endpoint functional are duplicated
+# below so that a bug in the decider's builders cannot silently validate its
+# own certificates.
 
 
 def _replay_initial(form: str) -> LinearSystem3:
@@ -469,11 +467,12 @@ def _replay_branch(form: str, s: int, target: int, m: int, growth: Fraction) -> 
 def replay_certificate(cert: Certificate, q: QuasiPolynomial) -> bool:
     """Independently re-derive a certificate; True only for a valid proof.
 
-    Branch certificates are replayed step by step: branch integers must
-    exhaust the exact range of ceil(lower endpoint) over every surviving
-    system, every recorded status must match a fresh feasibility check, and
-    the final disjunction must be empty.  Any mismatch, gap, or malformed
-    trace yields False; an error in the replayer itself propagates.
+    A branch certificate is replayed in order: for each s up to final_s the
+    replay branches every surviving system on the exact range of
+    ceil(lower endpoint), checks each child afresh, and compares each
+    recorded step with the step it derives.  Leftover steps, a trace that
+    empties before final_s, or any mismatch yields False, as does a
+    malformed trace; an error in the replayer itself propagates.
     """
     if cert.form not in (INHOMOGENEOUS, HOMOGENEOUS):
         return False
@@ -496,49 +495,32 @@ def replay_certificate(cert: Certificate, q: QuasiPolynomial) -> bool:
         growth = growth_rate(q)
         if growth is None or growth < 0:
             return False  # should have been a slope certificate
-        if cert.growth != growth or cert.final_s is None or not cert.steps:
+        if cert.growth != growth or cert.final_s is None:
             return False
 
-        by_s: dict[int, list[CertStep]] = {}
-        for step in cert.steps:
-            by_s.setdefault(step.s, []).append(step)
-        if sorted(by_s) != list(range(cert.final_s + 1)):
-            return False
-
+        recorded = iter(cert.steps)
         systems = [_replay_initial(cert.form)]
         for s in range(cert.final_s + 1):
+            if not systems:
+                return False  # the trace emptied before final_s
             target = q.eval_int(s)
-            recorded = by_s[s]
-            if any(step.count != target for step in recorded):
-                return False
-            by_parent: dict[int, list[CertStep]] = {}
-            for step in recorded:
-                by_parent.setdefault(step.parent, []).append(step)
-            if sorted(by_parent) != list(range(len(systems))):
-                return False  # some surviving system was not branched on
+            low = (s, 1, 0) if cert.form == INHOMOGENEOUS else (s, 0, 0)
             new_systems: list[LinearSystem3] = []
             for parent, sys in enumerate(systems):
-                bound = functional_bound(sys, _lower_coeffs(cert.form, s))
+                bound = functional_bound(sys, low)
                 if bound is None or bound.lo is None or bound.hi is None:
                     return False
                 m_min = floor(bound.lo) + 1 if bound.lo_strict else ceil(bound.lo)
-                steps_here = by_parent[parent]
-                if [step.m for step in steps_here] != list(range(m_min, ceil(bound.hi) + 1)):
-                    return False  # enumeration not exhaustive (or reordered)
-                for step in steps_here:
-                    child = sys.extended(
-                        _replay_branch(cert.form, s, target, step.m, growth)
-                    )
+                for m in range(m_min, ceil(bound.hi) + 1):
+                    child = sys.extended(_replay_branch(cert.form, s, target, m, growth))
                     ok = feasible(child)
-                    if ok != (step.status == "feasible"):
+                    step = CertStep(s, target, parent, m, "feasible" if ok else "infeasible",
+                                    len(new_systems) if ok else None)
+                    if next(recorded, None) != step:
                         return False
                     if ok:
-                        if step.child != len(new_systems):
-                            return False
                         new_systems.append(child)
-                    elif step.child is not None:
-                        return False
             systems = new_systems
-        return not systems
+        return not systems and next(recorded, None) is None
     except ValueError:  # malformed input, e.g. a non-integer value of q
         return False

@@ -382,6 +382,34 @@ def test_replay_lets_internal_errors_through(monkeypatch):
         replay_certificate(cert, phi)
 
 
+def test_replay_reads_the_trace_in_order():
+    for q in (ladder_qp(12), phi_reference()):
+        cert = decide_inhomogeneous_1d(q).certificate
+        steps = list(cert.steps)
+        assert replay_certificate(cert, q)
+        # a final_s far past the trace ends where the trace runs out
+        assert replay_certificate(replace(cert, final_s=2**62), q) is False
+        bogus = steps.copy()
+        i = next(i for i, st in enumerate(steps) if st.status == "infeasible")
+        bogus[i] = steps[i]._replace(status="bogus")
+        assert replay_certificate(replace(cert, steps=tuple(bogus)), q) is False
+        swapped = steps.copy()
+        i = next(i for i, (a, b) in enumerate(zip(steps, steps[1:]))
+                 if a.s == b.s and a.parent != b.parent)
+        swapped[i], swapped[i + 1] = steps[i + 1], steps[i]
+        assert replay_certificate(replace(cert, steps=tuple(swapped)), q) is False
+        extra = replace(cert, steps=cert.steps + cert.steps[-1:])
+        assert replay_certificate(extra, q) is False
+
+
+def test_replay_derives_its_own_m_range(monkeypatch):
+    # a faulty lower functional in the decider must not shape the replay's check
+    phi = phi_reference()
+    cert = decide_inhomogeneous_1d(phi).certificate
+    monkeypatch.setattr(decider, "_lower_coeffs", lambda form, s: (s, 0, 0))
+    assert replay_certificate(cert, phi)
+
+
 def test_certificates_are_deterministic():
     phi = phi_reference()
     a = decide_inhomogeneous_1d(phi, s_max=24, denom_multiplier=4).to_json_dict()
