@@ -36,7 +36,6 @@ from typing import NamedTuple
 from .feasibility import (
     Constraint,
     LinearSystem3,
-    feasible,
     functional_bound,
     make_constraint,
 )
@@ -230,7 +229,7 @@ def _phase_n(
         for parent, sys in enumerate(systems):
             for m in _m_range(sys, form, s):
                 child = sys.extended(_branch_constraints(form, s, target, m, growth))
-                ok = feasible(child)
+                ok = child is not None
                 steps.append(
                     CertStep(s, target, parent, m, "feasible" if ok else "infeasible",
                              len(new_systems) if ok else None)
@@ -469,10 +468,10 @@ def replay_certificate(cert: Certificate, q: QuasiPolynomial) -> bool:
 
     A branch certificate is replayed in order: for each s up to final_s the
     replay branches every surviving system on the exact range of
-    ceil(lower endpoint), checks each child afresh, and compares each
-    recorded step with the step it derives.  Leftover steps, a trace that
-    empties before final_s, or any mismatch yields False, as does a
-    malformed trace; an error in the replayer itself propagates.
+    ceil(lower endpoint), reads each child's emptiness from `extended`, and
+    compares each recorded step with the step it derives.  Leftover steps, a
+    trace that empties before final_s, or any mismatch yields False, as does
+    a malformed trace; an error in the replayer itself propagates.
     """
     if cert.form not in (INHOMOGENEOUS, HOMOGENEOUS):
         return False
@@ -513,7 +512,7 @@ def replay_certificate(cert: Certificate, q: QuasiPolynomial) -> bool:
                 m_min = floor(bound.lo) + 1 if bound.lo_strict else ceil(bound.lo)
                 for m in range(m_min, ceil(bound.hi) + 1):
                     child = sys.extended(_replay_branch(cert.form, s, target, m, growth))
-                    ok = feasible(child)
+                    ok = child is not None
                     step = CertStep(s, target, parent, m, "feasible" if ok else "infeasible",
                                     len(new_systems) if ok else None)
                     if next(recorded, None) != step:

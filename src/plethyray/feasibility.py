@@ -10,10 +10,10 @@ bound on c is paired with every upper bound on c (likewise for cbar), each
 pair gives one bound on b, and the system is feasible exactly when those
 bounds and the b-only constraints fold into a non-empty interval of b.  Pairs
 and bounds are plain integer tuples compared by cross-multiplication.
-`feasible` asks for that interval; `extended` keeps each system irredundant
-by one such shadow per negation test, so a system does not grow with the
-number of dilations seen; `functional_bound` pivots on the functional's last
-nonzero coordinate, which keeps the shape.
+`extended` keeps a system irredundant by one such shadow per negation test
+(so it does not grow with the dilations seen) and returns None when it is
+empty; `feasible` asks a hand-built system for its interval of b;
+`functional_bound` pivots on the functional's last nonzero coordinate.
 
 General 3-variable Fourier-Motzkin elimination is kept below as the
 reference that the tests compare the shadows against; the program calls it
@@ -264,27 +264,21 @@ def _irredundant(constraints: list[Constraint]) -> list[Constraint] | None:
     return kept
 
 
-_CONTRADICTION = Constraint((0,) * NUM_VARS, Fraction(-1), False)
-
-
 @dataclass(frozen=True)
 class LinearSystem3:
     constraints: tuple[Constraint, ...] = ()
 
-    def extended(self, new: Iterable[Constraint]) -> "LinearSystem3":
+    def extended(self, new: Iterable[Constraint]) -> "LinearSystem3 | None":
         """The system with extra constraints, reduced to an irredundant one.
 
         Every constraint must involve (b, c), (b, cbar) or b alone; one that
-        involves both c and cbar raises ValueError.  An infeasible result is
-        the explicit contradiction 0 <= -1; otherwise every constraint
-        implied by the others is dropped.  The solution set is unchanged
-        either way.
+        involves both c and cbar raises ValueError.  None means the result
+        is empty; otherwise every constraint implied by the others is
+        dropped, which leaves the solution set unchanged.
         """
         deduped = _dedupe(self.constraints + tuple(new))
         kept = None if deduped is None else _irredundant(deduped)
-        if kept is None:
-            return LinearSystem3((_CONTRADICTION,))
-        return LinearSystem3(tuple(kept))
+        return None if kept is None else LinearSystem3(tuple(kept))
 
 
 def feasible(system: LinearSystem3) -> bool:

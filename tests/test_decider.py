@@ -128,26 +128,29 @@ def test_feasible_normalization_box():
 
 
 def test_infeasible_split_point():
-    sys = LinearSystem3().extended([
+    cons = [
         make_constraint((1, 0, 0), Fraction(2, 3), strict=True),
         make_constraint((-1, 0, 0), Fraction(-2, 3)),
-    ])
-    assert not feasible(sys)
+    ]
+    assert LinearSystem3().extended(cons) is None
+    assert not feasible(LinearSystem3(tuple(cons)))
 
 
 def test_known_landmark_system_infeasible():
     # normalizations, the s=0 and s=1 consequences, and the branch
     # "6 is in the 5th dilation": 5b+c > 5, 4b+c > 4, 4b + cbar >= 14/3,
     # with b + cbar <= 5/3 forces 3b >= 3, contradicting b < 1
-    sys = normalization_box().extended([
+    box = normalization_box()
+    cons = [
         make_constraint((0, 0, -1), -1),
         make_constraint((0, 0, 1), 2, strict=True),
         make_constraint((-5, -1, 0), -5, strict=True),
         make_constraint((-4, -1, 0), -4, strict=True),
         make_constraint((-4, 0, -1), Fraction(-14, 3)),
         make_constraint((1, 0, 1), Fraction(5, 3)),
-    ])
-    assert not feasible(sys)
+    ]
+    assert box.extended(cons) is None
+    assert not feasible(LinearSystem3(box.constraints + tuple(cons)))
 
 
 def test_functional_bound_tracks_strictness():
@@ -159,10 +162,10 @@ def test_functional_bound_tracks_strictness():
 
 
 def test_functional_bound_infeasible_is_none():
-    sys = LinearSystem3().extended([
+    sys = LinearSystem3((
         make_constraint((1, 0, 0), 0, strict=True),
         make_constraint((-1, 0, 0), 0),
-    ])
+    ))
     assert functional_bound(sys, (1, 0, 0)) is None
 
 
@@ -374,10 +377,10 @@ def test_replay_lets_internal_errors_through(monkeypatch):
     phi = phi_reference()
     cert = decide_inhomogeneous_1d(phi).certificate
 
-    def broken(system):
+    def broken(system, coeffs):
         raise RuntimeError("feasibility fault")
 
-    monkeypatch.setattr(decider, "feasible", broken)
+    monkeypatch.setattr(decider, "functional_bound", broken)
     with pytest.raises(RuntimeError, match="feasibility fault"):
         replay_certificate(cert, phi)
 
@@ -503,8 +506,7 @@ def test_extended_reports_infeasibility_explicitly():
     box = normalization_box()
     # b > 1 contradicts b < 1 only through the rest of the system
     child = box.extended([make_constraint((-1, -1, 0), -2, strict=True)])
-    assert len(child.constraints) == 1 and not any(child.constraints[0].coeffs)
-    assert not feasible(child)
+    assert child is None
     # a constraint implied by the box is dropped; one that cuts it is kept
     assert box.extended([make_constraint((1, 1, 0), 2, strict=True)]) == box
     cut = make_constraint((1, 1, 0), 1)
@@ -582,9 +584,8 @@ def counting_eliminations(monkeypatch):
 def test_feasible_trusts_extended_and_checks_hand_built_systems(monkeypatch):
     box = normalization_box()
     cut = box.extended([make_constraint((1, 1, 0), 1)])
-    empty = box.extended([make_constraint((-1, -1, 0), -2, strict=True)])
     calls = counting_eliminations(monkeypatch)
-    assert feasible(cut) and not feasible(empty)
+    assert feasible(cut)
     assert calls == []
     # a system built by hand is decided on its interval of b as well
     assert feasible(LinearSystem3(cut.constraints))
@@ -593,23 +594,18 @@ def test_feasible_trusts_extended_and_checks_hand_built_systems(monkeypatch):
     assert calls == []
 
 
-def test_branch_and_replay_feasibility_checks_make_no_elimination(monkeypatch):
-    # phase N and replay check children that extended has just settled
+def test_branch_and_replay_read_each_verdict_from_extended(monkeypatch):
+    # phase N and replay take each child's emptiness from extended alone
+    def asked(system):
+        raise AssertionError("feasible asked about a child extended has settled")
+
+    monkeypatch.setattr(feasibility, "feasible", asked)
+    monkeypatch.setattr(decider, "feasible", asked, raising=False)
     calls = counting_eliminations(monkeypatch)
-    inside = []
-
-    def checked(system):
-        before = len(calls)
-        ok = feasible(system)
-        inside.append(len(calls) - before)
-        return ok
-
-    monkeypatch.setattr(decider, "feasible", checked)
-    q = ladder_qp(6)
-    out = decide_inhomogeneous_1d(q)
-    assert out.verdict == "not_representable" and replay_certificate(out.certificate, q)
-    assert len(inside) == 2 * len(out.certificate.steps)
-    assert not any(inside)
+    for q in (ladder_qp(6), phi_reference()):
+        out = decide_inhomogeneous_1d(q)
+        assert out.verdict == "not_representable" and replay_certificate(out.certificate, q)
+    assert calls == []
 
 
 # --- the witness search in integer units against its Fraction form ----------
@@ -740,11 +736,11 @@ def irredundant_reference(constraints):
 
 
 def extended_reference(system, new):
-    """(constraints, feasibility) of extended as it was, on 3-variable elimination."""
+    """extended's constraints, None if empty, on 3-variable elimination."""
     deduped = feasibility._dedupe(system.constraints + tuple(new))
     if deduped is None or not feasibility._satisfiable(deduped):
-        return (feasibility._CONTRADICTION,), False
-    return tuple(irredundant_reference(deduped)), True
+        return None
+    return tuple(irredundant_reference(deduped))
 
 
 def functional_bound_reference(system, coeffs):
@@ -834,7 +830,7 @@ def test_shadows_match_elimination_on_every_decider_system(monkeypatch):
     assert len(extends) > 3000 and len(bounds) > 2000
     for (constraints, new), out in extends.items():
         expected = extended_reference(LinearSystem3(constraints), new)
-        assert (out.constraints, feasible(out)) == expected, (constraints, new)
+        assert (out and out.constraints) == expected, (constraints, new)
     for (constraints, coeffs), out in bounds.items():
         assert out == functional_bound_reference(LinearSystem3(constraints), coeffs), \
             (constraints, coeffs)
@@ -872,10 +868,10 @@ def test_shadows_match_elimination_on_random_shaped_systems():
         base = LinearSystem3(tuple(random_shaped_system(rng, rng.randrange(0, 6))))
         new = random_shaped_system(rng, rng.randrange(0, 5))
         out = base.extended(new)
-        assert (out.constraints, feasible(out)) == extended_reference(base, new), (base, new)
+        assert (out and out.constraints) == extended_reference(base, new), (base, new)
         assert feasible(base) == feasibility._satisfiable(base.constraints), base
-        seen["feasible" if feasible(out) else "infeasible"] += 1
-        for system in (base, out):
+        seen["infeasible" if out is None else "feasible"] += 1
+        for system in (base,) if out is None else (base, out):
             for coeffs in functionals:
                 bound = functional_bound(system, coeffs)
                 assert bound == functional_bound_reference(system, coeffs), (system, coeffs)
@@ -904,7 +900,7 @@ def test_branch_systems_stay_irredundant_in_both_forms(monkeypatch):
     homogeneous, _ = recorded_feasibility_calls(monkeypatch, inputs, (decide_homogeneous_1d,))
     planted, _ = recorded_feasibility_calls(monkeypatch, bumped_planted_families())
     for extends in (homogeneous, planted):
-        systems = [sys for sys in extends.values() if feasible(sys)]
+        systems = [sys for sys in extends.values() if sys is not None]
         assert len(systems) >= 40
         for sys in systems:
             cons = sys.constraints
@@ -919,7 +915,7 @@ def test_homogeneous_systems_hold_b_alone(monkeypatch):
     inputs = [phi_reference(), *fuzzed_quasipolynomials(), *bumped_planted_families()]
     extends, bounds = recorded_feasibility_calls(monkeypatch, inputs, (decide_homogeneous_1d,))
     assert len(extends) >= 40 and len(bounds) >= 40
-    systems = [constraints + new + out.constraints
+    systems = [constraints + new + (() if out is None else out.constraints)
                for (constraints, new), out in extends.items()]
     systems += [constraints for constraints, _ in bounds]
     for constraints in systems:
