@@ -10,15 +10,13 @@ from .decider import (
 from .intervals import (
     NotPeriodic,
     PointFamily,
-    ShiftedConstraint,
     ShiftedIntervalFamily,
-    canonicalize,
     count,
     count_point,
     periodic_count_qp,
     verify_sum_decomposition,
 )
-from .partitions import Partition, SignedWeight, rho, scale, signed_weights, weyl_dimension
+from .partitions import Partition, SignedWeight, scale
 from .plethysm import hermite_check, inner_monomial_contents, plethysm_multiplicity, weight_count
 from .quasipoly import (
     FitFailure,
@@ -27,7 +25,6 @@ from .quasipoly import (
     leading_coefficient,
     phi_reference,
     reciprocity_violations,
-    same_function,
 )
 from .rays import (
     RaySpec,
@@ -43,10 +40,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Partition",
     "SignedWeight",
-    "rho",
     "scale",
-    "signed_weights",
-    "weyl_dimension",
     "inner_monomial_contents",
     "plethysm_multiplicity",
     "weight_count",
@@ -57,14 +51,11 @@ __all__ = [
     "phi_reference",
     "leading_coefficient",
     "reciprocity_violations",
-    "same_function",
-    "ShiftedConstraint",
     "ShiftedIntervalFamily",
     "PointFamily",
     "NotPeriodic",
     "count",
     "count_point",
-    "canonicalize",
     "periodic_count_qp",
     "verify_sum_decomposition",
     "RaySpec",

@@ -24,22 +24,6 @@ from .quasipoly import (
 
 
 @dataclass(frozen=True)
-class ShiftedConstraint:
-    """One half-line x >= slope*s + offset (lower) or x <= slope*s + offset (upper)."""
-
-    direction: str
-    slope: Fraction
-    offset: Fraction
-
-    def __init__(self, direction: str, slope: RationalLike, offset: RationalLike):
-        if direction not in ("lower", "upper"):
-            raise ValueError(f"direction must be 'lower' or 'upper', got {direction!r}")
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "slope", _as_fraction(slope))
-        object.__setattr__(self, "offset", _as_fraction(offset))
-
-
-@dataclass(frozen=True)
 class ShiftedIntervalFamily:
     b: Fraction
     c: Fraction
@@ -95,39 +79,6 @@ def count_point(fam: PointFamily, s: int) -> int:
     if s < 0:
         raise ValueError("dilation parameter must be nonnegative")
     return 1 if (s * fam.q).denominator == 1 else 0
-
-
-def canonicalize(
-    lowers: list[ShiftedConstraint], uppers: list[ShiftedConstraint]
-) -> tuple[ShiftedIntervalFamily, int]:
-    """Reduce a constraint system to its asymptotically binding pair.
-
-    Returns the family made of the largest lower (by slope, then offset) and
-    the smallest upper, together with the least integer s0 such that the pair
-    is binding -- hence counts agree with the full system -- for every s >= s0.
-    """
-    if not lowers or not uppers:
-        raise ValueError("need at least one lower and one upper constraint")
-    if any(cons.direction != "lower" for cons in lowers):
-        raise ValueError("constraint with direction != 'lower' in lowers")
-    if any(cons.direction != "upper" for cons in uppers):
-        raise ValueError("constraint with direction != 'upper' in uppers")
-
-    lo = max(lowers, key=lambda cons: (cons.slope, cons.offset))
-    up = min(uppers, key=lambda cons: (cons.slope, cons.offset))
-
-    s0 = 0
-    for cons in lowers:
-        gap = lo.slope - cons.slope
-        if gap == 0:
-            continue  # lo.offset >= cons.offset by choice of lo
-        s0 = max(s0, ceil(Fraction(cons.offset - lo.offset) / gap))
-    for cons in uppers:
-        gap = cons.slope - up.slope
-        if gap == 0:
-            continue
-        s0 = max(s0, ceil(Fraction(up.offset - cons.offset) / gap))
-    return ShiftedIntervalFamily(lo.slope, lo.offset, up.slope, up.offset), max(0, s0)
 
 
 def periodic_count_qp(fam: ShiftedIntervalFamily, p: int) -> QuasiPolynomial | NotPeriodic:

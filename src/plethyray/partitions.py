@@ -1,4 +1,4 @@
-"""Exact partition and weight-vector combinatorics.
+"""Partitions, ray scaling, and the nonnegative terms of the Weyl alternating sum.
 
 Partitions are weakly decreasing tuples of nonnegative integers; trailing
 zeros are kept as given, so a partition prints as it was written, but are
@@ -7,8 +7,8 @@ ignored by equality and hashing.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, NamedTuple
 
 WeightVector = tuple[int, ...]
@@ -24,7 +24,7 @@ class Partition:
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int]):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(operator.index(p) for p in parts)
         for i, p in enumerate(parts):
             if p < 0:
                 raise ValueError(f"negative part {p} in partition {parts}")
@@ -85,56 +85,14 @@ def scale(lam: Partition, s: int) -> Partition:
     return scaled
 
 
-def rho(n: int) -> WeightVector:
-    """The staircase weight (n-1, n-2, ..., 1, 0)."""
-    if n < 1:
-        raise ValueError("rho requires n >= 1")
-    return tuple(range(n - 1, -1, -1))
-
-
-def permutation_sign(perm: tuple[int, ...]) -> int:
-    """Sign of a permutation given as a tuple of images of 0..n-1."""
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def signed_weights(lam: Partition, n: int) -> list[SignedWeight]:
-    """All n! pairs (sgn(w), w(lam+rho)-rho).
-
-    Enumerates the full symmetric group; intended for the small n (<= 4 or so)
-    where an explicit list is useful.  The plethysm engine uses
-    iter_nonnegative_signed_weights, a depth-first search that yields only
-    the terms with every entry nonnegative and never visits the rest.
-    """
-    padded = lam.padded(n)
-    staircase = rho(n)
-    shifted = tuple(p + r for p, r in zip(padded, staircase))
-    out = []
-    for perm in permutations(range(n)):
-        weight = tuple(shifted[perm[i]] - staircase[i] for i in range(n))
-        out.append(SignedWeight(permutation_sign(perm), weight))
-    return out
-
-
 def iter_nonnegative_signed_weights(lam: Partition, n: int) -> list[SignedWeight]:
     """Exactly the signed weights whose entries are all nonnegative.
 
-    Equivalent to filtering signed_weights(lam, n) but without enumerating
-    all n! permutations: positions are filled in order by depth-first
-    search, placing the entry j of lam + rho at position i as the weight
-    entry lam_j + i - j, and a branch is cut at its first negative entry.
+    Equivalent to filtering the n! pairs (sgn(w), w(lam+rho)-rho), the list
+    the test oracle naive_signed_weights builds, but without enumerating all
+    n! permutations: positions are filled in order by depth-first search,
+    placing the entry j of lam + rho at position i as the weight entry
+    lam_j + i - j, and a branch is cut at its first negative entry.
     The sign is the parity of the places the chosen indices held among the
     indices still free.  The skipped terms contribute nothing to the
     alternating weight-count sum (negative weights have empty weight spaces).
@@ -158,21 +116,3 @@ def iter_nonnegative_signed_weights(lam: Partition, n: int) -> list[SignedWeight
 
     rec(0, list(range(n)), 0)
     return out
-
-
-def weyl_dimension(lam: Partition, n: int) -> int:
-    """Dimension of the irreducible GL(n) representation labelled by lam.
-
-    Product formula prod_{i<j} (lam_i - lam_j + j - i) / (j - i); always an
-    exact positive integer.
-    """
-    padded = lam.padded(n)
-    num = 1
-    den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= padded[i] - padded[j] + j - i
-            den *= j - i
-    if num % den != 0:
-        raise AssertionError("Weyl dimension product is not integral")
-    return num // den

@@ -175,12 +175,6 @@ class QuasiPolynomial:
         return cls(period, [[value]] * period)
 
 
-def same_function(q1: QuasiPolynomial, q2: QuasiPolynomial) -> bool:
-    """Whether two quasi-polynomials agree on every integer (periods may differ)."""
-    p = lcm(q1.period, q2.period)
-    return q1.with_period(p).rows == q2.with_period(p).rows
-
-
 def phi_reference() -> QuasiPolynomial:
     """The period-6 multiplicity function (s + r(s))/3 with r = (3,-1,1,0,2,-2)."""
     r = (3, -1, 1, 0, 2, -2)

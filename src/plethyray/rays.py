@@ -19,6 +19,7 @@ OUTER = "outer"
 INNER = "inner"
 
 PERIOD_LADDER = (1, 2, 3, 4, 6, 12)
+MAX_DEGREE = 4
 
 
 @dataclass(frozen=True)
@@ -101,10 +102,9 @@ def discover_quasipoly(
     spec: RaySpec,
     s_max: int,
     periods: tuple[int, ...] = PERIOD_LADDER,
-    max_degree: int = 4,
     samples: list[int] | None = None,
 ) -> tuple[QuasiPolynomial, int, int] | FitFailure:
-    """Try periods from the ladder and degrees from 0 up; first validated fit wins.
+    """Try periods from the ladder and degrees 0..MAX_DEGREE; first validated fit wins.
 
     Returns (qp, period, degree) or the FitFailure of the last (period,
     degree) tried when nothing in the ladder validates; raises ValueError
@@ -129,7 +129,7 @@ def discover_quasipoly(
         columns = []
         if period >= 1:
             columns = [values[start::period] for start in range(period)]
-        for degree in range(max_degree + 1):
+        for degree in range(MAX_DEGREE + 1):
             columns = [[b - a for a, b in zip(col, col[1:])] for col in columns]
             if s_max < period * (degree + 2):
                 continue

@@ -2,13 +2,53 @@
 
 Everything here is deliberately naive: multisets are enumerated explicitly,
 Schur polynomials come from semistandard tableaux, lattice points from
-scanning candidate integers with exact Fraction comparisons.  None of it
+scanning candidate integers with exact Fraction comparisons, Weyl terms from
+all n! permutations with the sign read off the inversion count.  Partitions
+are plain tuples of parts.  Nothing here imports plethyray, so none of it
 shares code paths with the package internals it checks.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
+
+
+def _padded(parts, n):
+    """parts with trailing zeros dropped, then padded with zeros to length n."""
+    nonzero = tuple(p for p in parts if p > 0)
+    if len(nonzero) > n:
+        raise ValueError(f"partition {tuple(parts)} has more than {n} nonzero parts")
+    return nonzero + (0,) * (n - len(nonzero))
+
+
+@lru_cache(maxsize=None)
+def _signed_permutations(n):
+    """Every permutation of 0..n-1 with (-1) ** (its number of inversions)."""
+    out = []
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i, j in combinations(range(n), 2) if perm[i] > perm[j])
+        out.append(((-1) ** inversions, perm))
+    return out
+
+
+def naive_signed_weights(parts, n):
+    """All n! pairs (sgn(w), w(lam+rho) - rho), the sign from the inversion count."""
+    lam = _padded(parts, n)
+    shifted = [lam[i] + n - 1 - i for i in range(n)]
+    return [
+        (sign, tuple(shifted[perm[i]] - (n - 1 - i) for i in range(n)))
+        for sign, perm in _signed_permutations(n)
+    ]
+
+
+def weyl_dimension(parts, n):
+    """Dimension of the GL(n) irreducible lam: prod_{i<j} (lam_i - lam_j + j - i) / (j - i)."""
+    lam = _padded(parts, n)
+    value = Fraction(1)
+    for i, j in combinations(range(n), 2):
+        value *= Fraction(lam[i] - lam[j] + j - i, j - i)
+    assert value.denominator == 1, value
+    return int(value)
 
 
 def partitions_of(total, max_parts=None):

@@ -39,7 +39,7 @@ from plethyray.feasibility import (
     functional_bound,
     make_constraint,
 )
-from plethyray.quasipoly import growth_rate, same_function
+from plethyray.quasipoly import growth_rate
 
 
 def third_half_qp():
@@ -684,7 +684,7 @@ def phase_e_in_fractions(q, form, growth, denom_multiplier):
             cbar_val = _pick_in_bound(cbar_int)
             fam = ShiftedIntervalFamily(b0, c_val, b0 + growth, cbar_val)
             qp = periodic_count_qp(fam, p_prime)
-            if not isinstance(qp, QuasiPolynomial) or not same_function(qp, q):
+            if qp != q.with_period(p_prime):
                 continue
             if all(count(fam, t) == q.eval_int(t) for t in range(2 * max(p, p_prime) + 1)):
                 return fam

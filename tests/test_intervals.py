@@ -8,9 +8,7 @@ from plethyray import (
     NotPeriodic,
     PointFamily,
     QuasiPolynomial,
-    ShiftedConstraint,
     ShiftedIntervalFamily,
-    canonicalize,
     count,
     count_point,
     periodic_count_qp,
@@ -71,86 +69,6 @@ def test_shift_invariance():
         shifted = ShiftedIntervalFamily(b, c + t, bbar, cbar + t)
         for s in range(0, 20):
             assert count(base, s) == count(shifted, s)
-
-
-def test_canonicalize_threshold_example():
-    family, s0 = canonicalize(
-        [ShiftedConstraint("lower", Fraction(1, 4), 0),
-         ShiftedConstraint("lower", Fraction(1, 3), -5)],
-        [ShiftedConstraint("upper", Fraction(1, 2), 0)],
-    )
-    assert (family.b, family.c, family.bbar, family.cbar) == (
-        Fraction(1, 3), Fraction(-5), Fraction(1, 2), Fraction(0))
-    assert s0 == 60
-
-
-def test_canonicalize_single_pair_is_identity():
-    family, s0 = canonicalize(
-        [ShiftedConstraint("lower", Fraction(1, 3), 1)],
-        [ShiftedConstraint("upper", Fraction(1, 2), 0)],
-    )
-    assert (family.b, family.c, s0) == (Fraction(1, 3), Fraction(1), 0)
-
-
-def test_canonicalize_equal_slopes_pick_larger_offset():
-    family, s0 = canonicalize(
-        [ShiftedConstraint("lower", Fraction(1, 3), 1),
-         ShiftedConstraint("lower", Fraction(1, 3), 0)],
-        [ShiftedConstraint("upper", Fraction(1, 2), 0)],
-    )
-    assert (family.b, family.c, s0) == (Fraction(1, 3), Fraction(1), 0)
-
-
-def test_canonicalize_binding_pair_counts_agree_past_threshold():
-    lowers = [ShiftedConstraint("lower", Fraction(1, 4), 0),
-              ShiftedConstraint("lower", Fraction(1, 3), -5)]
-    uppers = [ShiftedConstraint("upper", Fraction(1, 2), 0),
-              ShiftedConstraint("upper", Fraction(2, 3), -7)]
-    family, s0 = canonicalize(lowers, uppers)
-    for s in range(s0, s0 + 30):
-        lo = max(s * cons.slope + cons.offset for cons in lowers)
-        hi = min(s * cons.slope + cons.offset for cons in uppers)
-        assert count(family, s) == brute_interval_count(lo, hi)
-
-
-def test_canonicalize_upper_threshold_and_random_systems():
-    # the upper (2/3)s - 7 stays below s/2 until s = 42: at s = 12 the full
-    # system is empty while the pair alone counts 3
-    def full_count(lowers, uppers, s):
-        lo = max(s * cons.slope + cons.offset for cons in lowers)
-        hi = min(s * cons.slope + cons.offset for cons in uppers)
-        return max(0, floor(hi) - ceil(lo) + 1)
-
-    lowers = [ShiftedConstraint("lower", Fraction(1, 3), 0)]
-    uppers = [ShiftedConstraint("upper", Fraction(1, 2), 0),
-              ShiftedConstraint("upper", Fraction(2, 3), -7)]
-    family, s0 = canonicalize(lowers, uppers)
-    assert (family.bbar, family.cbar, s0) == (Fraction(1, 2), 0, 42)
-    assert full_count(lowers, uppers, 12) == 0 and count(family, 12) == 3
-    for s in range(s0, s0 + 61):
-        assert count(family, s) == full_count(lowers, uppers, s), s
-
-    rng = random.Random(1507)
-
-    def side(direction):
-        return [ShiftedConstraint(direction, Fraction(rng.randrange(-6, 7), rng.randrange(1, 7)),
-                                  Fraction(rng.randrange(-30, 31), rng.randrange(1, 4)))
-                for _ in range(rng.randrange(1, 4))]
-
-    for _ in range(300):
-        lowers, uppers = side("lower"), side("upper")
-        family, s0 = canonicalize(lowers, uppers)
-        for s in range(s0, s0 + 61):
-            assert count(family, s) == full_count(lowers, uppers, s), (lowers, uppers, s)
-
-
-def test_canonicalize_validation():
-    with pytest.raises(ValueError):
-        canonicalize([], [ShiftedConstraint("upper", 1, 0)])
-    with pytest.raises(ValueError):
-        canonicalize([ShiftedConstraint("upper", 1, 0)], [ShiftedConstraint("upper", 1, 0)])
-    with pytest.raises(ValueError):
-        ShiftedConstraint("sideways", 1, 0)
 
 
 def test_periodic_count_qp_derived_example():

@@ -11,7 +11,6 @@ from plethyray import (
     leading_coefficient,
     phi_reference,
     reciprocity_violations,
-    same_function,
 )
 from plethyray.quasipoly import growth_rate
 
@@ -220,16 +219,9 @@ def test_scaled():
 def test_reduced_period():
     fat = QuasiPolynomial(6, [[1], [0]] * 3)
     slim = fat.reduced_period()
-    assert slim.period == 2 and same_function(fat, slim)
+    assert slim.period == 2 and slim.with_period(6) == fat
     assert phi_reference().reduced_period().period == 6  # already minimal
     assert QuasiPolynomial(4, [[1]] * 4).reduced_period() == QuasiPolynomial.constant(1)
-
-
-def test_same_function_across_periods():
-    q1 = QuasiPolynomial.constant(1)
-    q2 = QuasiPolynomial(3, [[1], [1], [1]])
-    assert same_function(q1, q2)
-    assert not same_function(q1, QuasiPolynomial(3, [[1], [1], [2]]))
 
 
 def test_json_round_trip_bit_exact():
