@@ -17,7 +17,7 @@ from .intervals import (
     verify_sum_decomposition,
 )
 from .partitions import Partition, SignedWeight, scale
-from .plethysm import hermite_check, inner_monomial_contents, plethysm_multiplicity, weight_count
+from .plethysm import inner_monomial_contents, plethysm_multiplicity, weight_count
 from .quasipoly import (
     FitFailure,
     QuasiPolynomial,
@@ -44,7 +44,6 @@ __all__ = [
     "inner_monomial_contents",
     "plethysm_multiplicity",
     "weight_count",
-    "hermite_check",
     "QuasiPolynomial",
     "FitFailure",
     "fit",

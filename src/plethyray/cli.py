@@ -121,10 +121,9 @@ def cmd_ray(args: argparse.Namespace) -> int:
     samples = sample_ray(spec, args.smax)
     try:
         if args.period is None:
-            result = discover_quasipoly(spec, args.smax, samples=samples)
+            result = discover_quasipoly(samples)
         else:
-            result = extract_quasipoly(spec, args.period, args.degree, args.smax,
-                                       samples=samples)
+            result = extract_quasipoly(samples, args.period, args.degree)
     except ValueError as exc:
         return _usage_error(str(exc))
     if isinstance(result, QuasiPolynomial):  # the hinted fit
@@ -262,7 +261,7 @@ def _scan_one(d: int, k: int, lam: Partition, form: str, s_max: int) -> list[dic
     spec = RaySpec("outer", d, k, lam)
     samples = sample_ray(spec, s_max)
     try:
-        found = discover_quasipoly(spec, s_max, samples=samples)
+        found = discover_quasipoly(samples)
     except ValueError as exc:  # s_max too short for every pair of the ladder
         raise UsageError(str(exc)) from exc
     forms = [INHOMOGENEOUS, HOMOGENEOUS] if form == "both" else [form]

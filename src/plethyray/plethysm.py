@@ -11,12 +11,11 @@ monomial contents with the prescribed coordinate sum.  For every n at least
 the number of nonzero parts of lam this is the same stable plethysm
 coefficient, so plethysm_multiplicity takes n equal to that number.
 
-In one or two variables the weight spaces have closed forms.  With one
-variable the only weight of the right total is (d*k), of dimension 1.  With
-two, the dimension of the (d*k - j, j) weight space is the number of
-partitions of j into at most d parts of size at most k, the coefficient of
-q^j in the Gaussian binomial [d+k choose d]_q.  With a = min(d, k) and
-b = max(d, k), expanding the numerator of the product
+Two-row multiplicities have a closed form.  In two variables the dimension
+of the (d*k - j, j) weight space is the number of partitions of j into at
+most d parts of size at most k, the coefficient of q^j in the Gaussian
+binomial [d+k choose d]_q.  With a = min(d, k) and b = max(d, k),
+expanding the numerator of the product
 prod_{i=1..a} (1 - q^(b+i)) / (1 - q^i) by the q-binomial theorem, and
 [a choose t]_q / prod_{i<=a} (1 - q^i) = 1 / (prod_{i<=t} (1 - q^i) *
 prod_{i<=a-t} (1 - q^i)), gives
@@ -42,9 +41,10 @@ arithmetic without a weight-space count, and rays.sample_ray calls
 two_row_multiplicity directly for every point of such a ray.  A lam with more
 than d nonzero parts is 0 before any sum: S^d(S^k) lies in h_k^d, which by
 Pieri's rule has no constituent with more than d rows.  So only lam with
-three to d nonzero parts takes the Weyl sum, and its weights go to the
-capped-multiset kernel; the pair-count closed form (d = 2) serves direct
-weight_count calls in three or more variables.
+three to d nonzero parts takes the Weyl sum, and its weights go through
+weight_count to the capped-multiset kernel.  Two-row multiplicities never
+reach either.  A direct weight_count call, in any number of variables, takes
+the pair-count closed form when d = 2 and the kernel otherwise.
 """
 
 from __future__ import annotations
@@ -148,24 +148,6 @@ def _partition_table(a: int) -> _PartitionTable:
     return _PartitionTable(a)
 
 
-def _two_row_count(d: int, k: int, j: int) -> int:
-    """[q^j] of the Gaussian binomial [d+k choose d]_q, for 0 <= j <= d*k/2.
-
-    The alternating sum of Q_t of the module docstring: partitions of j into
-    at most d parts of size at most k.
-    """
-    a, b = min(d, k), max(d, k)
-    table = _partition_table(a)
-    total = 0
-    for t in range(a // 2 + 1):
-        m = j - t * b - t * (t + 1) // 2
-        if m < 0:
-            break
-        q = table.row(t, m)[m]
-        total += -q if t % 2 else q
-    return total
-
-
 def two_row_multiplicity(d: int, k: int, j: int) -> int:
     """m^{d,k} of (d*k - j, j), for 0 <= j <= d*k/2: [q^j] - [q^(j-1)] in one pass.
 
@@ -190,8 +172,9 @@ def weight_count(d: int, k: int, n: int, mu: WeightVector) -> int:
     """Dimension of the mu-weight space of S^d(S^k C^n).
 
     Negative entries or a wrong total simply give 0; the alternating Weyl sum
-    relies on that convention.  One and two variables take closed forms (see
-    the module docstring) and never reach the kernel.
+    relies on that convention.  d = 2 is the pair count; every other d, in
+    any number of variables, goes to the capped-multiset kernel.
+    plethysm_multiplicity calls this only with 3 <= n <= d.
     """
     if n < 1:
         raise ValueError("need at least one variable")
@@ -201,12 +184,6 @@ def weight_count(d: int, k: int, n: int, mu: WeightVector) -> int:
         raise ValueError("d and k must be nonnegative")
     if any(m < 0 for m in mu) or sum(mu) != d * k:
         return 0
-    if d == 0 or d == 1:
-        return 1  # empty multiset, or mu itself is the single content
-    if n == 1:
-        return 1  # d copies of the single content (k,)
-    if n == 2:
-        return _two_row_count(d, k, min(mu))
     if d == 2:
         return _pair_weight_count(k, mu)
     # One coordinate is redundant (contents all have total k); dropping the
@@ -260,12 +237,3 @@ def plethysm_multiplicity(d: int, k: int, lam: Partition) -> int:
             f"alternating weight sum went negative for d={d}, k={k}, lam={lam}"
         )
     return total
-
-
-def hermite_check(d: int, k: int, lam: Partition) -> bool:
-    """Whether m^{d,k}_lam equals m^{k,d}_lam (Hermite reciprocity)."""
-    if d < 1 or k < 1:
-        raise ValueError("hermite_check needs positive d and k")
-    if lam.size != d * k:
-        raise ValueError(f"|lam| = {lam.size} != d*k = {d * k}")
-    return plethysm_multiplicity(d, k, lam) == plethysm_multiplicity(k, d, lam)

@@ -104,27 +104,6 @@ class QuasiPolynomial:
             raise ValueError(f"value at s={s} is not an integer: {Fraction(acc, den)}")
         return value
 
-    def __add__(self, other: "QuasiPolynomial") -> "QuasiPolynomial":
-        if not isinstance(other, QuasiPolynomial):
-            return NotImplemented
-        p = lcm(self.period, other.period)
-        width = max(self.degree, other.degree) + 1
-        rows = []
-        for j in range(p):
-            a = self.rows[j % self.period]
-            b = other.rows[j % other.period]
-            rows.append(
-                tuple(
-                    (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                    for i in range(width)
-                )
-            )
-        return QuasiPolynomial(p, rows)
-
-    def scaled(self, factor: RationalLike) -> "QuasiPolynomial":
-        f = _as_fraction(factor)
-        return QuasiPolynomial(self.period, [[c * f for c in row] for row in self.rows])
-
     def with_period(self, p: int) -> "QuasiPolynomial":
         """The same function declared with period p (p must be a multiple)."""
         if p % self.period != 0:

@@ -76,59 +76,46 @@ def sample_ray(spec: RaySpec, s_max: int) -> list[int]:
 
 
 def extract_quasipoly(
-    spec: RaySpec,
-    period_hint: int,
-    degree_hint: int,
-    s_max: int,
-    samples: list[int] | None = None,
+    samples: list[int], period_hint: int, degree_hint: int
 ) -> QuasiPolynomial | FitFailure:
-    """Fit the ray's samples with the hinted period and degree.
+    """Fit samples (the values at s = 0, 1, ...) with the hinted period and degree.
 
-    Requires s_max >= period_hint*(degree_hint+2): at least one full period of
-    samples beyond the interpolation window validates the hypothesis instead
-    of merely restating it.
+    Requires s_max = len(samples) - 1 >= period_hint*(degree_hint+2): at
+    least one full period of samples beyond the interpolation window
+    validates the hypothesis instead of merely restating it.
     """
+    s_max = len(samples) - 1
     if s_max < period_hint * (degree_hint + 2):
         raise ValueError(
             f"s_max = {s_max} < period*(degree+2) = {period_hint * (degree_hint + 2)}: "
             "not enough samples to validate the fit"
         )
-    if samples is None:
-        samples = sample_ray(spec, s_max)
     return fit(list(enumerate(samples)), period_hint, degree_hint)
 
 
-def discover_quasipoly(
-    spec: RaySpec,
-    s_max: int,
-    periods: tuple[int, ...] = PERIOD_LADDER,
-    samples: list[int] | None = None,
-) -> tuple[QuasiPolynomial, int, int] | FitFailure:
-    """Try periods from the ladder and degrees 0..MAX_DEGREE; first validated fit wins.
+def discover_quasipoly(samples: list[int]) -> tuple[QuasiPolynomial, int, int] | FitFailure:
+    """Fit samples (the values at s = 0, 1, ...) at the first validated ladder pair.
 
-    Returns (qp, period, degree) or the FitFailure of the last (period,
-    degree) tried when nothing in the ladder validates; raises ValueError
-    when s_max is too small to try any pair.  Samples (each non-int read
-    once as a Fraction) are screened with exact finite differences: each
-    residue class mod period is a polynomial of degree <= degree exactly
-    when its (degree+1)-th differences at step period all vanish, and each
-    degree differences the previous degree's columns once more.  A class too
-    short to have such a difference passes; class lengths differ by at most
-    one, so then every class passes and ``fit`` sees the short class (and
-    raises).  So ``fit`` runs once: on the first pair that passes, where it
+    Periods come from PERIOD_LADDER and degrees from 0..MAX_DEGREE; a pair
+    (period, degree) is tried when s_max = len(samples) - 1 is at least
+    period*(degree+2).  Returns (qp, period, degree) or the FitFailure of
+    the last pair tried when nothing in the ladder validates; raises
+    ValueError when s_max is too small to try any pair.  Samples (each
+    non-int read once as a Fraction) are screened with exact finite
+    differences: each residue class mod period is a polynomial of degree <=
+    degree exactly when its (degree+1)-th differences at step period all
+    vanish, and each degree differences the previous degree's columns once
+    more.  So ``fit`` runs once: on the first pair that passes, where it
     interpolates and validates every sample, or on the last pair tried, to
     report its failure.
     """
-    if samples is None:
-        samples = sample_ray(spec, s_max)
+    s_max = len(samples) - 1
     values = [value if type(value) is int else _as_fraction(value) for value in samples]
     pairs = list(enumerate(values))
     last: tuple[int, int] | None = None
-    for period in periods:
+    for period in PERIOD_LADDER:
         # the residue classes mod period; differenced once per degree below
-        columns = []
-        if period >= 1:
-            columns = [values[start::period] for start in range(period)]
+        columns = [values[start::period] for start in range(period)]
         for degree in range(MAX_DEGREE + 1):
             columns = [[b - a for a, b in zip(col, col[1:])] for col in columns]
             if s_max < period * (degree + 2):

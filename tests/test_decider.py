@@ -354,7 +354,9 @@ def test_replay_rejects_wrong_quasipolynomial():
 def test_replay_rejects_non_integer_values():
     phi = phi_reference()
     cert = decide_inhomogeneous_1d(phi).certificate
-    shifted = phi + QuasiPolynomial.constant(Fraction(1, 2))
+    # phi + 1/2: the rows of phi with 1/2 added to each constant term
+    shifted = QuasiPolynomial(
+        6, [[Fraction(r, 3) + Fraction(1, 2), Fraction(1, 3)] for r in (3, -1, 1, 0, 2, -2)])
     assert replay_certificate(cert, shifted) is False
 
 

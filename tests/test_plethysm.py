@@ -1,10 +1,9 @@
 import pytest
-from itertools import product
+from itertools import accumulate, product
 from math import comb
 
 from plethyray import (
     Partition,
-    hermite_check,
     inner_monomial_contents,
     plethysm_multiplicity,
     weight_count,
@@ -53,7 +52,7 @@ def test_weight_count_zero_conventions():
 
 
 def test_weight_count_matches_brute_force_sweep():
-    # covers the d=1/d=2 closed forms and the main DP on one sweep
+    # covers the d=2 pair count and the kernel (n = 1, 2, 3) on one sweep
     for d in (1, 2, 3, 4):
         for k in (1, 2, 3):
             for n in (1, 2, 3):
@@ -177,22 +176,18 @@ def test_two_row_multiplicities_match_box_partition_counts():
 
 
 def test_hermite_check_examples():
-    assert hermite_check(3, 4, Partition((7, 5, 0)))
-    assert hermite_check(5, 1, Partition((5,)))
-    assert hermite_check(2, 2, Partition((2, 2)))
+    # Hermite reciprocity: m^{d,k}_lam = m^{k,d}_lam
+    for d, k, lam in [(3, 4, (7, 5, 0)), (5, 1, (5,)), (2, 2, (2, 2))]:
+        lam_p = Partition(lam)
+        assert plethysm_multiplicity(d, k, lam_p) == plethysm_multiplicity(k, d, lam_p), lam
 
 
 def test_hermite_fails_beyond_two_rows():
     # classical Hermite reciprocity is a binary-forms statement; this
     # three-row partition separates S^2(S^3) from S^3(S^2)
-    assert plethysm_multiplicity(2, 3, Partition((2, 2, 2))) == 0
-    assert plethysm_multiplicity(3, 2, Partition((2, 2, 2))) == 1
-    assert not hermite_check(2, 3, Partition((2, 2, 2)))
-
-
-def test_hermite_check_rejects_size_mismatch():
-    with pytest.raises(ValueError):
-        hermite_check(3, 4, Partition((7, 4)))
+    lam = Partition((2, 2, 2))
+    assert plethysm_multiplicity(2, 3, lam) == 0
+    assert plethysm_multiplicity(3, 2, lam) == 1
 
 
 def test_multiplicities_never_negative_sweep():
@@ -271,26 +266,37 @@ def test_two_row_closed_form_matches_three_variable_count():
                 assert two == three, (d, k, b)
 
 
+def two_row_partial_sums(d, k):
+    """Sums over i <= j of two_row_multiplicity(d, k, i), for j <= d*k/2.
+
+    By Cayley-Sylvester each is [q^j] of [d+k choose d]_q: the partitions of
+    j in a d x k box, which the kernel counts as capped one-variable multisets.
+    """
+    return list(accumulate(two_row_multiplicity(d, k, i) for i in range(d * k // 2 + 1)))
+
+
 @pytest.mark.parametrize("d,k", [(32, 33), (33, 33)])
 def test_gaussian_rows_match_kernel_around_2_to_the_62(d, k):
     # comb(65, 32) < 2**62 <= comb(66, 33): the kernel's cell bound on either
     # side of 2**62, where its packed digits are 62 and 63 bits wide
     assert (comb(d + k, d) >= 2**62) == (d == 33)
     contents = [(a,) for a in range(k + 1)]
+    sums, swapped = two_row_partial_sums(d, k), two_row_partial_sums(k, d)
     for j in (0, 1, 7, 100, 400, d * k // 2):
         expected = count_capped_multisets(contents, d, (j,))
-        assert weight_count(d, k, 2, (d * k - j, j)) == expected, j
-        assert weight_count(d, k, 2, (j, d * k - j)) == expected, j
+        assert sums[j] == expected, j
+        assert swapped[j] == expected, j
 
 
 def test_weight_count_returns_int_and_row_cache_is_bounded():
     for d, k in [(3, 4), (33, 33)]:
+        assert type(two_row_multiplicity(d, k, 5)) is int
         assert type(weight_count(d, k, 2, (d * k - 5, 5))) is int
     assert type(weight_count(3, 4, 1, (12,))) is int
     # the one two-row cache is keyed by a = min(d, k) and holds at most 64 keys
     assert _partition_table.cache_info().maxsize == 64
     for k in range(1, 101):
-        weight_count(k, k, 2, (k * k - 1, 1))
+        two_row_multiplicity(k, k, 1)
     assert _partition_table.cache_info().currsize <= 64
     # one row holds at most twice the entries its largest query needs
     table = _PartitionTable(3)
@@ -312,7 +318,7 @@ def test_partition_pair_rows_match_brute_force():
 
 def test_two_row_rows_grow_only_as_far_as_read(monkeypatch):
     _partition_table.cache_clear()
-    assert weight_count(150, 150, 2, (22499, 1)) == 1
+    assert two_row_multiplicity(150, 150, 1) == 0
     table = _partition_table(150)
     assert len(table.rows[0]) == 2
     assert all(row == [] for row in table.rows[1:])
@@ -353,10 +359,11 @@ def test_two_row_counts_match_kernel_when_d_and_k_differ(d, k):
     # the closed form sums over subsets of {1..min(d, k)}: both orders of
     # (d, k) must give the kernel's count of partitions of j in a d x k box
     contents = [(a,) for a in range(k + 1)]
+    sums, swapped = two_row_partial_sums(d, k), two_row_partial_sums(k, d)
     for j in (0, 1, d * k // 4, d * k // 2):
         expected = count_capped_multisets(contents, d, (j,))
-        assert weight_count(d, k, 2, (d * k - j, j)) == expected, j
-        assert weight_count(k, d, 2, (d * k - j, j)) == expected, j
+        assert sums[j] == expected, j
+        assert swapped[j] == expected, j
 
 
 def test_long_two_row_ray_matches_kernel_differences():

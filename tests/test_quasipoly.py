@@ -187,35 +187,6 @@ def test_reciprocity_clean_on_true_ehrhart_interval_functions():
         assert reciprocity_violations(q, 50) == []
 
 
-def test_add_constants():
-    three = QuasiPolynomial.constant(1) + QuasiPolynomial.constant(2)
-    assert three == QuasiPolynomial.constant(3)
-
-
-def test_add_identity():
-    phi = phi_reference()
-    zero = QuasiPolynomial(1, [[0]])
-    summed = phi + zero
-    for s in range(-20, 21):
-        assert summed.eval(s) == phi.eval(s)
-
-
-def test_add_periods_merge_to_lcm():
-    q1 = QuasiPolynomial(2, [[1], [0]])
-    q2 = QuasiPolynomial(3, [[0], [1], [2]])
-    total = q1 + q2
-    assert total.period == 6
-    for s in range(40):
-        assert total.eval(s) == q1.eval(s) + q2.eval(s)
-
-
-def test_scaled():
-    phi = phi_reference()
-    doubled = phi.scaled(2)
-    for s in range(20):
-        assert doubled.eval(s) == 2 * phi.eval(s)
-
-
 def test_reduced_period():
     fat = QuasiPolynomial(6, [[1], [0]] * 3)
     slim = fat.reduced_period()
