@@ -257,18 +257,20 @@ def _scan_partitions(total: int, rows: int) -> list[Partition]:
     return out
 
 
-def _scan_one(d: int, k: int, lam: Partition, form: str, s_max: int) -> list[dict]:
-    spec = RaySpec("outer", d, k, lam)
-    samples = sample_ray(spec, s_max)
+def _classify(samples: list[int], forms: list[str]) -> list[dict]:
+    """The scan rows of one ray function, one per form, without the ray's fields.
+
+    The rows depend on the samples and the forms alone: the fit and the
+    deciders are deterministic and read nothing else.  So one call serves
+    every ray whose samples are equal, and cmd_scan shares its rows exactly.
+    """
     try:
         found = discover_quasipoly(samples)
     except ValueError as exc:  # s_max too short for every pair of the ladder
         raise UsageError(str(exc)) from exc
-    forms = [INHOMOGENEOUS, HOMOGENEOUS] if form == "both" else [form]
-    base = {"d": d, "k": k, "lambda": str(lam), "mode": "outer"}
     if isinstance(found, FitFailure):
         return [
-            {**base, "form": fm, "verdict": "fit_failure", "period": "", "degree": "",
+            {"form": fm, "verdict": "fit_failure", "period": "", "degree": "",
              "qp": "", "reference": str(found)}
             for fm in forms
         ]
@@ -276,7 +278,7 @@ def _scan_one(d: int, k: int, lam: Partition, form: str, s_max: int) -> list[dic
     qp_json = json.dumps(qp.to_json_dict(), sort_keys=True)
     rows = []
     for fm in forms:
-        row = {**base, "form": fm, "period": period, "degree": degree, "qp": qp_json}
+        row = {"form": fm, "period": period, "degree": degree, "qp": qp_json}
         if qp.degree > 1:
             row["verdict"] = UNKNOWN
             row["reference"] = f"degree {qp.degree} exceeds the 1-d decider scope"
@@ -304,11 +306,18 @@ def cmd_scan(args: argparse.Namespace) -> int:
     for option, value in (("--max-boxes", args.max_boxes), ("--smax", args.smax)):
         if value < 0:
             return _usage_error(f"{option} must be nonnegative")
+    forms = [INHOMOGENEOUS, HOMOGENEOUS] if args.form == "both" else [args.form]
+    classified: dict[tuple, list[dict]] = {}  # the rows of each distinct sample vector
     rows = []
     for d in range(2, args.max_boxes // 2 + 1):
         for k in range(2, args.max_boxes // d + 1):
             for lam in _scan_partitions(d * k, args.rows):
-                rows += _scan_one(d, k, lam, args.form, args.smax)
+                samples = sample_ray(RaySpec("outer", d, k, lam), args.smax)
+                key = tuple(samples)
+                if key not in classified:
+                    classified[key] = _classify(samples, forms)
+                ray = {"d": d, "k": k, "lambda": str(lam), "mode": "outer"}
+                rows += [{**ray, **row} for row in classified[key]]
     rows.sort(key=lambda row: (row["d"], row["k"], row["lambda"], row["form"]))
 
     table = io.StringIO()

@@ -371,14 +371,16 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, argv, bad):
 
 
 def test_default_scan_csv_is_pinned(capsys):
-    # the default 12-box scan and the 18-box one (194 witness rows against
-    # 92), byte for byte: any change to a sample, a fit, a verdict or a
-    # witness shows here
+    # the default 12-box scan, the 18-box one (194 witness rows against 92)
+    # and the 24-box one (186 of its 333 rays share another ray's rows),
+    # byte for byte: any change to a sample, a fit, a verdict, a witness or
+    # the sharing of rows between rays with equal samples shows here
     import hashlib
 
     pins = [
         ("12", 133, 27334, "e9e2f78731b6d73c81db1042f19db905c35d05cc301f2c9f432d525c49873033"),
         ("18", 331, 62076, "4af19311963ad2a63ee87d014e4ecc2419f4afd2a9e620ee2a6aca4f2560d7e5"),
+        ("24", 667, 122243, "f05de495629bc4cd0b92ab89cf9a8f557a366abb0a27214deeebae85f15f8c37"),
     ]
     for max_boxes, lines, size, digest in pins:
         code, out, _ = run(
@@ -386,3 +388,31 @@ def test_default_scan_csv_is_pinned(capsys):
         raw = out.encode("utf-8")
         assert code == 0 and raw.count(b"\r\n") == lines and len(raw) == size, max_boxes
         assert hashlib.sha256(raw).hexdigest() == digest, max_boxes
+
+
+def test_scan_classifies_each_distinct_ray_function_once(capsys, monkeypatch):
+    # the 66 rays of the 12-box scan have 24 distinct sample vectors, 7 of
+    # them fitting a function of degree <= 1: one fit per vector and one
+    # decision per form of each of those 7
+    import plethyray.cli as cli
+
+    calls = {"fit": 0, "decide": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "discover_quasipoly", counting("fit", cli.discover_quasipoly))
+    monkeypatch.setattr(cli, "_decide", counting("decide", cli._decide))
+    code, both, _ = run(capsys, "scan", "--max-boxes", "12", "--form", "both")
+    assert code == 0 and calls == {"fit": 24, "decide": 14}
+
+    header, *lines = both.split("\r\n")[:-1]
+    rows = scan_rows(both)
+    assert len(rows) == len(lines) == 132
+    for form in ("inhomogeneous", "homogeneous"):
+        code, out, _ = run(capsys, "scan", "--max-boxes", "12", "--form", form)
+        expected = [header] + [line for line, row in zip(lines, rows) if row["form"] == form]
+        assert code == 0 and out.split("\r\n")[:-1] == expected, form
