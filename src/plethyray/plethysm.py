@@ -14,7 +14,7 @@ coefficient, so plethysm_multiplicity takes n equal to that number.
 Two-row multiplicities have a closed form.  In two variables the dimension
 of the (d*k - j, j) weight space is the number of partitions of j into at
 most d parts of size at most k, the coefficient of q^j in the Gaussian
-binomial [d+k choose d]_q.  With a = min(d, k) and b = max(d, k),
+binomial [d+k choose d]_q.  With a either of d and k and b the other,
 expanding the numerator of the product
 prod_{i=1..a} (1 - q^(b+i)) / (1 - q^i) by the q-binomial theorem, and
 [a choose t]_q / prod_{i<=a} (1 - q^i) = 1 / (prod_{i<=t} (1 - q^i) *
@@ -25,20 +25,22 @@ prod_{i<=a-t} (1 - q^i)), gives
 where Q_t(m) counts the pairs of partitions of sizes summing to m, one into
 parts of size at most t and one into parts of size at most a - t (Andrews,
 The Theory of Partitions, ch. 3).  Only t <= a/2 reach j <= d*k/2, the half
-of the symmetric row that is ever asked for.  One table per a is cached,
-with a row of Q_t per t grown on demand, so every point of a ray that keeps
-a fixed is floor(a/2) + 1 lookups at most.  The Weyl sum in two variables
+of the symmetric row that is ever asked for.  The Weyl sum in two variables
 collapses to one difference (Cayley-Sylvester): the multiplicity of
 (d*k - j, j) is [q^j] - [q^(j-1)], and of (d*k) it is [q^0] = 1.  Both
-coefficients run over the same t, so two_row_multiplicity takes the
-difference term by term,
+coefficients run over the same t, so the difference is taken term by term
+from one row of Q_t, with Q_t(-1) = 0.  As b is free, a whole ray keeps one
+a and one cached table: a = d on an outer ray (d, s*k, s*j), a = k on an
+inner ray (s*d, k, s*j), and with step the other of d and k,
 
-    m = sum over t of (-1)^t * (Q_t(m_t) - Q_t(m_t - 1)),  m_t = j - t*b - t(t+1)/2,
+    m(s) = sum over t <= a/2 of (-1)^t * (Q_t(m_t) - Q_t(m_t - 1)),
+    m_t = (j - t*step)*s - t(t+1)/2,
 
-with Q_t(-1) = 0: one pass, and one row read per t.  plethysm_multiplicity
-answers every lam with at most two nonzero parts this way, in integer
-arithmetic without a weight-space count, and rays.sample_ray calls
-two_row_multiplicity directly for every point of such a ray.  A lam with more
+as s*j <= a*s*step/2.  two_row_ray sums this for s = 0..s_max, reading each
+row once, and two_row_multiplicity is its s = 1 point with a = min(d, k).
+plethysm_multiplicity answers every lam with at most two nonzero parts this
+way, in integer arithmetic without a weight-space count, and rays.sample_ray
+calls two_row_ray once for a whole two-row ray.  A lam with more
 than d nonzero parts is 0 before any sum: S^d(S^k) lies in h_k^d, which by
 Pieri's rule has no constituent with more than d rows.  So only lam with
 three to d nonzero parts takes the Weyl sum, and its weights go through
@@ -148,24 +150,31 @@ def _partition_table(a: int) -> _PartitionTable:
     return _PartitionTable(a)
 
 
-def two_row_multiplicity(d: int, k: int, j: int) -> int:
-    """m^{d,k} of (d*k - j, j), for 0 <= j <= d*k/2: [q^j] - [q^(j-1)] in one pass.
+def two_row_ray(a: int, step: int, j: int, s_max: int) -> list[int]:
+    """[q^(s*j)] - [q^(s*j-1)] of [a + s*step choose a]_q for s = 0..s_max.
 
-    Both coefficients are alternating sums of Q_t over the same t (see the
-    module docstring), at m and m - 1 of one row, so each t reads one row
-    once; Q_t(-1) is 0.
+    For 0 <= j <= a*step/2 this is the outer ray of (d, k) = (a, step) and
+    the inner ray of (d, k) = (step, a) at lam = (dk - j, j); entry 0 is 1.
     """
-    a, b = min(d, k), max(d, k)
     table = _partition_table(a)
-    total = 0
+    values = [0] * (s_max + 1)
     for t in range(a // 2 + 1):
-        m = j - t * b - t * (t + 1) // 2
-        if m < 0:
+        alpha, tri = j - t * step, t * (t + 1) // 2
+        top = alpha * s_max - tri
+        if top < 0:
             break
-        row = table.row(t, m)
-        diff = row[m] - row[m - 1] if m else row[0]
-        total += -diff if t % 2 else diff
-    return total
+        row = table.row(t, top)
+        sign = -1 if t % 2 else 1
+        # t >= 1 has tri >= 1, so top >= 0 makes alpha >= 1; t = 0 starts at s = 0
+        for s in range(-(-tri // alpha) if t else 0, s_max + 1):
+            m = alpha * s - tri
+            values[s] += sign * (row[m] - row[m - 1] if m else row[0])
+    return values
+
+
+def two_row_multiplicity(d: int, k: int, j: int) -> int:
+    """m^{d,k} of (d*k - j, j), for 0 <= j <= d*k/2: the s = 1 point of two_row_ray."""
+    return two_row_ray(min(d, k), max(d, k), j, 1)[1]
 
 
 def weight_count(d: int, k: int, n: int, mu: WeightVector) -> int:

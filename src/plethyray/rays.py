@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .partitions import Partition, scale
-from .plethysm import plethysm_multiplicity, two_row_multiplicity
+from .plethysm import plethysm_multiplicity, two_row_ray
 from .quasipoly import FitFailure, QuasiPolynomial, _as_fraction, fit, phi_reference
 
 OUTER = "outer"
@@ -57,10 +57,10 @@ def ray_value(spec: RaySpec, s: int) -> int:
 def sample_ray(spec: RaySpec, s_max: int) -> list[int]:
     """Multiplicities for s = 0..s_max, in s order.
 
-    lam is stripped once.  A ray with at most two nonzero parts (dk - j, j)
-    reads each point s >= 1 as one two_row_multiplicity call, with
-    (d, s*k, s*j) on an outer ray and (s*d, k, s*j) on an inner one; a
-    one-row ray is 1 throughout.  Wider rays take ray_value point by point.
+    lam is stripped once.  A ray with two nonzero parts (dk - j, j) is one
+    two_row_ray call, one pass per t over one table, with (a, step) = (d, k)
+    on an outer ray and (k, d) on an inner one; a one-row ray is 1
+    throughout.  Wider rays take ray_value point by point.
     """
     if s_max < 0:
         raise ValueError("s_max must be nonnegative")
@@ -69,10 +69,9 @@ def sample_ray(spec: RaySpec, s_max: int) -> list[int]:
         return [ray_value(spec, s) for s in range(s_max + 1)]
     if len(parts) < 2:
         return [1] * (s_max + 1)
-    d, k, j = spec.d, spec.k, parts[1]
     if spec.mode == OUTER:
-        return [1] + [two_row_multiplicity(d, s * k, s * j) for s in range(1, s_max + 1)]
-    return [1] + [two_row_multiplicity(s * d, k, s * j) for s in range(1, s_max + 1)]
+        return two_row_ray(spec.d, spec.k, parts[1], s_max)
+    return two_row_ray(spec.k, spec.d, parts[1], s_max)
 
 
 def extract_quasipoly(
@@ -104,26 +103,27 @@ def discover_quasipoly(samples: list[int]) -> tuple[QuasiPolynomial, int, int] |
     non-int read once as a Fraction) are screened with exact finite
     differences: each residue class mod period is a polynomial of degree <=
     degree exactly when its (degree+1)-th differences at step period all
-    vanish, and each degree differences the previous degree's columns once
-    more.  So ``fit`` runs once: on the first pair that passes, where it
-    interpolates and validates every sample, or on the last pair tried, to
-    report its failure.
+    vanish.  The step-period differences of the whole sample vector
+    interleave those of the classes, once more per degree.  So ``fit`` runs
+    only on a pair that passes, where it interpolates and validates every
+    sample.  The ladder's failure is read from the last pair's differences:
+    in a class, the first nonzero one, at index i, is the first sample the
+    interpolant misses, at s = i + (degree+1)*period, minus the interpolant;
+    as s grows with i, the first nonzero i is fit's first mismatch.
     """
     s_max = len(samples) - 1
     values = [value if type(value) is int else _as_fraction(value) for value in samples]
-    pairs = list(enumerate(values))
-    last: tuple[int, int] | None = None
+    last: tuple[int, int, list] | None = None
     for period in PERIOD_LADDER:
-        # the residue classes mod period; differenced once per degree below
-        columns = [values[start::period] for start in range(period)]
+        diffs = values  # differenced at step period once per degree below
         for degree in range(MAX_DEGREE + 1):
-            columns = [[b - a for a, b in zip(col, col[1:])] for col in columns]
             if s_max < period * (degree + 2):
+                break
+            diffs = [b - a for a, b in zip(diffs, diffs[period:])]
+            last = (period, degree, diffs)
+            if any(diffs):
                 continue
-            last = (period, degree)
-            if any(any(col) for col in columns):
-                continue
-            result = fit(pairs, period, degree)
+            result = fit(list(enumerate(values)), period, degree)
             if isinstance(result, QuasiPolynomial):
                 return result, period, degree
     if last is None:
@@ -131,7 +131,10 @@ def discover_quasipoly(samples: list[int]) -> tuple[QuasiPolynomial, int, int] |
             f"s_max = {s_max} is too small for every (period, degree) of the ladder: "
             "each needs s_max >= period*(degree+2)"
         )
-    return fit(pairs, *last)
+    period, degree, diffs = last
+    i = next(i for i, diff in enumerate(diffs) if diff)
+    s = i + (degree + 1) * period
+    return FitFailure(s, _as_fraction(values[s]), _as_fraction(values[s] - diffs[i]))
 
 
 def _compare_to_reference(spec: RaySpec, s_max: int, reference: QuasiPolynomial) -> list[dict]:

@@ -393,10 +393,13 @@ def test_default_scan_csv_is_pinned(capsys):
 def test_scan_classifies_each_distinct_ray_function_once(capsys, monkeypatch):
     # the 66 rays of the 12-box scan have 24 distinct sample vectors, 7 of
     # them fitting a function of degree <= 1: one fit per vector and one
-    # decision per form of each of those 7
+    # decision per form of each of those 7.  Of the 24 ladders, 14 find a pair
+    # that passes the finite-difference screen and interpolate there once; the
+    # other 10 read their failure from the differences, without a fit
     import plethyray.cli as cli
+    import plethyray.rays as rays
 
-    calls = {"fit": 0, "decide": 0}
+    calls = {"fit": 0, "interpolate": 0, "decide": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -406,8 +409,9 @@ def test_scan_classifies_each_distinct_ray_function_once(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "discover_quasipoly", counting("fit", cli.discover_quasipoly))
     monkeypatch.setattr(cli, "_decide", counting("decide", cli._decide))
+    monkeypatch.setattr(rays, "fit", counting("interpolate", rays.fit))
     code, both, _ = run(capsys, "scan", "--max-boxes", "12", "--form", "both")
-    assert code == 0 and calls == {"fit": 24, "decide": 14}
+    assert code == 0 and calls == {"fit": 24, "interpolate": 14, "decide": 14}
 
     header, *lines = both.split("\r\n")[:-1]
     rows = scan_rows(both)

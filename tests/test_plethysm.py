@@ -309,21 +309,43 @@ def test_two_row_rows_grow_only_as_far_as_read(monkeypatch):
     table = _partition_table(150)
     assert len(table.rows[0]) == 2
     assert all(row == [] for row in table.rows[1:])
-    # m^{12,s}_{s(6,6)} reads rows 0..5 of a = 12 from s = 12 on
-    largest: dict[tuple[int, int], int] = {}
+    # m^{12,s}_{s(6,6)} keeps a = 12 at every s, so the ray reads rows 0..5
+    # of that one table, each row once and exactly as far as its last point
+    reads: dict[tuple[int, int], list[int]] = {}
     read = _PartitionTable.row
 
     def spy(self, t, m):
-        key = (self.a, t)
-        largest[key] = max(largest.get(key, -1), m)
+        reads.setdefault((self.a, t), []).append(m)
         return read(self, t, m)
 
     _partition_table.cache_clear()
     monkeypatch.setattr(_PartitionTable, "row", spy)
     sample_ray(RaySpec(OUTER, 12, 1, Partition((6, 6))), 300)
-    assert {t for a, t in largest if a == 12} == set(range(6))
-    for (a, t), m in largest.items():
-        assert 0 < len(_partition_table(a).rows[t]) <= 2 * (m + 1), (a, t, m)
+    assert reads == {(12, t): [(6 - t) * 300 - t * (t + 1) // 2] for t in range(6)}
+    for (a, t), (m,) in reads.items():
+        assert len(_partition_table(a).rows[t]) == m + 1, (a, t, m)
+
+
+def test_two_row_ray_matches_point_queries():
+    # a ray keeps a = d (outer) or a = k (inner) at every s, while a point
+    # query takes a = min of its two powers; they differ where the scaled
+    # power is the smaller one at small s.  The inner ray of (d, k) makes the
+    # point queries of the outer ray of (k, d), so each list is built once
+    rays = [RaySpec(mode, d, k, Partition((d * k - j, j)))
+            for d in range(1, 49) for k in range(1, 48 // d + 1)
+            for j in range(1, d * k // 2 + 1) for mode in (OUTER, "inner")]
+    for mode, d, k in [(OUTER, 12, 1), (OUTER, 6, 2), ("inner", 2, 6)]:
+        assert RaySpec(mode, d, k, Partition((d * k // 2,) * 2)) in rays
+        assert (k if mode == OUTER else d) < (d if mode == OUTER else k)
+    points: dict[tuple[int, int, int], list[int]] = {}
+    for spec in rays:
+        d, k, j = spec.d, spec.k, spec.lam.parts[1]
+        a, step = (d, k) if spec.mode == OUTER else (k, d)
+        if (a, step, j) not in points:
+            points[a, step, j] = [1] + [
+                two_row_multiplicity(a, s * step, s * j) for s in range(1, 41)]
+        assert sample_ray(spec, 40) == points[a, step, j], spec
+    assert len(points) * 2 == len(rays) == 5368
 
 
 @pytest.mark.parametrize("d,k", [(32, 33), (33, 33)])

@@ -1,4 +1,5 @@
 import pytest
+import random
 from fractions import Fraction
 
 from plethyray import (
@@ -197,14 +198,38 @@ PHI_SAMPLES = [int(phi_reference().eval(s)) for s in range(37)]
         [2**s for s in range(31)],
         [7] * 5,
         [Fraction(s, 2) for s in range(25)],
+        # s_max = 20 ends the ladder at (6, 1): s = 12, sample 4096, interpolant 127
+        [2**s for s in range(21)],
+        # the last pair, (12, 1), first misses s = 33, in residue class 9
+        PHI_SAMPLES[:33] + [PHI_SAMPLES[33] - 1] + PHI_SAMPLES[34:],
+        # (12, 1) again: s = 24, sample 1/25, interpolant -11/13
+        [Fraction(1, s + 1) for s in range(37)],
     ],
-    ids=["cubic", "phi", "phi-bumped", "powers-of-two", "constant-short", "fractions"],
+    ids=["cubic", "phi", "phi-bumped", "powers-of-two", "constant-short", "fractions",
+         "last-pair-6-1", "phi-bumped-in-class-9", "fractions-failing"],
 )
 def test_discover_quasipoly_matches_fit_ladder_on_sequences(samples):
     got = discover_quasipoly(samples)
     assert got == ladder_over_fit(samples)
     if samples is PHI_SAMPLES:
         assert got == (phi_reference(), 6, 1)
+    if isinstance(got, FitFailure):
+        assert type(got.expected) is type(got.actual) is Fraction
+
+
+def test_discover_quasipoly_matches_fit_ladder_on_bumped_quasipolynomials():
+    # a random quasi-polynomial with one sample bumped: wherever the bump
+    # lies, the ladder's failure (or fit) is the one fit reports
+    rng = random.Random(28)
+    for _ in range(60):
+        period, degree = rng.choice(PERIOD_LADDER), rng.randrange(4)
+        rows = [[Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(degree + 1)]
+                for _ in range(period)]
+        qp = QuasiPolynomial(period, rows)
+        samples = [qp.eval(s) for s in range(rng.randrange(12, 50))]
+        bump = rng.randrange(len(samples))
+        samples[bump] += rng.choice((-1, 1, Fraction(1, 2)))
+        assert discover_quasipoly(samples) == ladder_over_fit(samples), (qp, bump)
 
 
 @pytest.mark.parametrize(
