@@ -8,6 +8,9 @@ makes the Ehrhart-reciprocity check meaningful.
 Evaluation runs in integers: each instance scales its rows, once and on first
 use, to integer numerators over one common denominator, and Horner's rule on
 those numerators serves eval, eval_int and the validation inside fit.
+
+fit takes the samples alone, the values at s = 0, 1, ..., and interpolates
+each residue class by forward differences over its equally spaced window.
 """
 
 from __future__ import annotations
@@ -160,86 +163,71 @@ def phi_reference() -> QuasiPolynomial:
     return QuasiPolynomial(6, [[Fraction(rj, 3), Fraction(1, 3)] for rj in r])
 
 
-def _newton_row(window: list[tuple[int, RationalLike]]) -> tuple[list[int], int]:
-    """Monomial coefficients of the interpolant through window, over one denominator.
+def _newton_row(start: int, step: int, window: list[RationalLike]) -> tuple[list[int], int]:
+    """Monomial coefficients of the interpolant through s = start + i*step, value window[i].
 
     Returns (coeffs, den) with integer coeffs, constant term first, such that
-    the polynomial is sum(coeffs[e] * s**e) / den.  Divided differences are
-    kept as integers over a per-level common denominator, the Newton form is
-    expanded by Horner's rule on coefficient lists, and nothing is reduced
-    until the caller builds its Fractions.
+    the polynomial is sum(coeffs[e] * s**e) / den.  On equally spaced nodes
+    the k-th divided difference is the k-th forward difference over
+    k! * step**k, so the differences are kept as integers over one common
+    denominator, the Newton form is expanded by Horner's rule on coefficient
+    lists, and nothing is reduced until the caller builds its Fractions.
     """
-    xs = [s for s, _ in window]
-    den = lcm(*[value.denominator for _, value in window])
-    level = [value.numerator * (den // value.denominator) for _, value in window]
-    newton = [level[0]]
-    scales = [1]  # newton[k] / (den * scales[k]) is the k-th divided difference
-    scale = 1
-    for k in range(1, len(xs)):
-        gaps = [xs[i + k] - xs[i] for i in range(len(level) - 1)]
-        step = lcm(*gaps)
-        level = [(b - a) * (step // gap) for a, b, gap in zip(level, level[1:], gaps)]
-        scale *= step
+    den = lcm(*[value.denominator for value in window])
+    level = [value.numerator * (den // value.denominator) for value in window]
+    newton = [level[0]]  # newton[k] / (den * k! * step**k) is the k-th divided difference
+    while len(level) > 1:
+        level = [b - a for a, b in zip(level, level[1:])]
         newton.append(level[0])
-        scales.append(scale)
-    # p(s) * den * scale = sum_k newton[k] * (scale / scales[k]) * prod_{i<k} (s - xs[i])
-    top = len(newton) - 1
-    poly = [newton[top]]
-    for k in range(top - 1, -1, -1):
+    # with top = len(newton) - 1 and scale = top! * step**top,
+    # p(s) * den * scale = sum_k newton[k] * weight_k * prod_{i<k} (s - start - i*step),
+    # weight_k = scale / (k! * step**k), which is scale itself at k = 0
+    poly = [newton[-1]]
+    weight = 1
+    for k in range(len(newton) - 2, -1, -1):
+        weight *= (k + 1) * step
+        node = start + k * step
         shifted = [0] + poly  # poly * s
         for e, c in enumerate(poly):
-            shifted[e] -= xs[k] * c
-        shifted[0] += newton[k] * (scale // scales[k])
+            shifted[e] -= node * c
+        shifted[0] += newton[k] * weight
         poly = shifted
-    return poly, den * scale
+    return poly, den * weight
 
 
 def fit(
-    samples: Iterable[tuple[int, RationalLike]],
-    period: int,
-    degree: int,
+    samples: Sequence[RationalLike], period: int, degree: int
 ) -> QuasiPolynomial | FitFailure:
     """Interpolate one polynomial per residue class and validate on all samples.
 
-    The first degree+1 samples of each residue class (by increasing s) are the
-    interpolation window; every supplied sample, including those beyond the
-    window, must be reproduced exactly, otherwise the first mismatching s is
-    reported as a FitFailure.  Fewer than degree+1 samples in some class is a
-    usage error and raises.
+    samples[s] is the value at s, for s = 0..len(samples)-1.  Class j's first
+    degree+1 samples, samples[j::period][:degree+1], are its interpolation
+    window; every sample, including those beyond the windows, must be
+    reproduced exactly, otherwise the first mismatching s is reported as a
+    FitFailure.  Fewer than degree+1 samples in some class is a usage error
+    and raises.
 
-    Each class's polynomial comes from Newton divided differences over its
-    window; validation runs in integers, through the fitted
-    QuasiPolynomial's own scaled rows.
+    Each class's polynomial comes from forward differences over its window;
+    validation runs in integers, through the fitted QuasiPolynomial's own
+    scaled rows.
     """
     if period < 1 or degree < 0:
         raise ValueError("period must be positive and degree nonnegative")
     # ints already carry numerator and denominator; only a FitFailure needs
     # them as Fractions
-    table: dict[int, RationalLike] = {}
-    for s, value in samples:
-        if type(value) is not int:
-            value = _as_fraction(value)
-        if s < 0:
-            raise ValueError("samples must have nonnegative s")
-        if s in table and table[s] != value:
-            return FitFailure(s, _as_fraction(value), _as_fraction(table[s]))
-        table[s] = value
-    points = sorted(table.items())
-    by_class: list[list[tuple[int, RationalLike]]] = [[] for _ in range(period)]
-    for point in points:
-        by_class[point[0] % period].append(point)
+    values = [value if type(value) is int else _as_fraction(value) for value in samples]
     rows = []
     for j in range(period):
-        window = by_class[j][: degree + 1]
+        window = values[j::period][: degree + 1]
         if len(window) < degree + 1:
             raise ValueError(
                 f"residue class {j} mod {period} has {len(window)} samples, needs {degree + 1}"
             )
-        coeffs, den = _newton_row(window)
+        coeffs, den = _newton_row(j, period, window)
         rows.append([Fraction(c, den) for c in coeffs])
     result = QuasiPolynomial(period, rows)
     den = result._scaled_rows[1]
-    for s, value in points:
+    for s, value in enumerate(values):
         acc = result._numerator(s)
         if acc * value.denominator != value.numerator * den:
             return FitFailure(s, _as_fraction(value), Fraction(acc, den))

@@ -89,7 +89,7 @@ def extract_quasipoly(
             f"s_max = {s_max} < period*(degree+2) = {period_hint * (degree_hint + 2)}: "
             "not enough samples to validate the fit"
         )
-    return fit(list(enumerate(samples)), period_hint, degree_hint)
+    return fit(samples, period_hint, degree_hint)
 
 
 def discover_quasipoly(samples: list[int]) -> tuple[QuasiPolynomial, int, int] | FitFailure:
@@ -123,7 +123,7 @@ def discover_quasipoly(samples: list[int]) -> tuple[QuasiPolynomial, int, int] |
             last = (period, degree, diffs)
             if any(diffs):
                 continue
-            result = fit(list(enumerate(values)), period, degree)
+            result = fit(values, period, degree)
             if isinstance(result, QuasiPolynomial):
                 return result, period, degree
     if last is None:

@@ -157,7 +157,7 @@ def test_criterion_06_decider_negative_results():
 
 
 def test_criterion_07_decider_positive_results():
-    third_half = fit([(s, s // 2 - (-(-s // 3)) + 1) for s in range(24)], 6, 1)
+    third_half = fit([s // 2 - (-(-s // 3)) + 1 for s in range(24)], 6, 1)
     parity = QuasiPolynomial(2, [[1], [0]])
     for q in (third_half, parity):
         for decide in (decide_inhomogeneous_1d, decide_homogeneous_1d):

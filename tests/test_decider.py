@@ -43,7 +43,7 @@ from plethyray.quasipoly import growth_rate
 
 
 def third_half_qp():
-    return fit([(s, s // 2 - (-(-s // 3)) + 1) for s in range(24)], 6, 1)
+    return fit([s // 2 - (-(-s // 3)) + 1 for s in range(24)], 6, 1)
 
 
 PARITY = QuasiPolynomial(2, [[1], [0]])

@@ -61,25 +61,24 @@ def test_rows_are_canonicalized():
 
 def test_fit_phi_round_trip():
     phi = phi_reference()
-    fitted = fit([(s, phi.eval(s)) for s in range(18)], 6, 1)
+    fitted = fit([phi.eval(s) for s in range(18)], 6, 1)
     assert fitted == phi
 
 
 def test_fit_constant():
-    assert fit([(s, 1) for s in range(5)], 1, 0) == QuasiPolynomial.constant(1)
+    assert fit([1] * 5, 1, 0) == QuasiPolynomial.constant(1)
 
 
 def test_fit_third_interval_counts():
-    samples = [(s, s // 2 - (-(-s // 3)) + 1) for s in range(24)]
-    q = fit(samples, 6, 1)
+    q = fit([s // 2 - (-(-s // 3)) + 1 for s in range(24)], 6, 1)
     assert isinstance(q, QuasiPolynomial)
     assert leading_coefficient(q) == Fraction(1, 6)
 
 
 def test_fit_reports_first_mismatch():
     phi = phi_reference()
-    samples = [(s, phi.eval(s)) for s in range(20)]
-    samples[13] = (13, phi.eval(13) + 1)
+    samples = [phi.eval(s) for s in range(20)]
+    samples[13] += 1
     failure = fit(samples, 6, 1)
     assert isinstance(failure, FitFailure)
     assert failure.s == 13
@@ -87,13 +86,13 @@ def test_fit_reports_first_mismatch():
 
 def test_fit_wrong_period_fails_validation():
     phi = phi_reference()
-    failure = fit([(s, phi.eval(s)) for s in range(20)], 3, 1)
+    failure = fit([phi.eval(s) for s in range(20)], 3, 1)
     assert isinstance(failure, FitFailure)
 
 
 def test_fit_requires_enough_samples():
     with pytest.raises(ValueError):
-        fit([(0, 1), (1, 1)], 2, 1)
+        fit([1, 1], 2, 1)
 
 
 def test_fit_random_round_trip():
@@ -107,7 +106,7 @@ def test_fit_random_round_trip():
         ]
         q = QuasiPolynomial(period, rows)
         s_top = period * (q.degree + 2) + period
-        fitted = fit([(s, q.eval(s)) for s in range(s_top + 1)], period, q.degree)
+        fitted = fit([q.eval(s) for s in range(s_top + 1)], period, q.degree)
         assert fitted == q
 
 
@@ -149,8 +148,7 @@ def test_reciprocity_clean_for_unit_interval_ehrhart():
 
 
 def test_reciprocity_clean_for_third_interval():
-    samples = [(s, s // 2 - (-(-s // 3)) + 1) for s in range(24)]
-    q = fit(samples, 6, 1)
+    q = fit([s // 2 - (-(-s // 3)) + 1 for s in range(24)], 6, 1)
     assert reciprocity_violations(q, 30) == []
     # |q(-s)| must equal the interior count of s[1/3, 1/2] (Ehrhart-Macdonald)
     for s in range(1, 31):
@@ -230,24 +228,13 @@ def solve_linear_reference(matrix, rhs):
 
 
 def fit_reference(samples, period, degree):
-    """fit as it was: a Vandermonde solve per class, Fraction validation."""
+    """fit by a Vandermonde solve per class and Fraction validation."""
     if period < 1 or degree < 0:
         raise ValueError("period must be positive and degree nonnegative")
-    table = {}
-    for s, value in samples:
-        value = value if isinstance(value, Fraction) else Fraction(value)
-        if s < 0:
-            raise ValueError("samples must have nonnegative s")
-        if s in table and table[s] != value:
-            return FitFailure(s, value, table[s])
-        table[s] = value
-    points = sorted(table.items())
-    by_class = {j: [] for j in range(period)}
-    for s, value in points:
-        by_class[s % period].append((s, value))
+    values = [v if isinstance(v, Fraction) else Fraction(v) for v in samples]
     rows = []
     for j in range(period):
-        window = by_class[j][: degree + 1]
+        window = [(s, values[s]) for s in range(j, len(values), period)][: degree + 1]
         if len(window) < degree + 1:
             raise ValueError(
                 f"residue class {j} mod {period} has {len(window)} samples, needs {degree + 1}"
@@ -255,7 +242,7 @@ def fit_reference(samples, period, degree):
         matrix = [[Fraction(s) ** e for e in range(degree + 1)] for s, _ in window]
         rows.append(solve_linear_reference(matrix, [v for _, v in window]))
     result = QuasiPolynomial(period, rows)
-    for s, value in points:
+    for s, value in enumerate(values):
         got = result.eval(s)
         if got != value:
             return FitFailure(s, value, got)
@@ -273,8 +260,8 @@ def fit_outcome(fitter, samples, period, degree):
 
 
 def random_fit_input(rng):
-    """Samples of a random quasi-polynomial (sometimes bumped), free values,
-    or irregular s with Fraction values, repeats and a stray negative s."""
+    """Values at s = 0, 1, ... of a random quasi-polynomial (sometimes bumped),
+    free integers, or free values mixing integers and Fractions."""
     period = rng.randrange(1, 7)
     degree = rng.randrange(0, 4)
     kind = rng.randrange(3)
@@ -282,23 +269,16 @@ def random_fit_input(rng):
         rows = [[Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(degree + 1)]
                 for _ in range(period)]
         q = QuasiPolynomial(period, rows)
-        samples = [(s, q.eval(s)) for s in range(rng.randrange(period * (degree + 3) + 3))]
+        samples = [q.eval(s) for s in range(rng.randrange(period * (degree + 3) + 3))]
         if samples and rng.random() < 0.3:
-            i = rng.randrange(len(samples))
-            samples[i] = (samples[i][0], samples[i][1] + rng.choice([1, Fraction(1, 2)]))
+            samples[rng.randrange(len(samples))] += rng.choice([1, Fraction(1, 2)])
     elif kind == 1:
-        points = sorted(rng.sample(range(40), rng.randrange(25)))
-        samples = [(s, rng.randrange(-5, 6)) for s in points]
+        samples = [rng.randrange(-5, 6) for _ in range(rng.randrange(40))]
     else:
         samples = [
-            (rng.randrange(30),
-             rng.choice([rng.randrange(-3, 4), Fraction(rng.randrange(-5, 6), rng.randrange(1, 5))]))
+            rng.choice([rng.randrange(-3, 4), Fraction(rng.randrange(-5, 6), rng.randrange(1, 5))])
             for _ in range(rng.randrange(30))
         ]
-        if rng.random() < 0.1:
-            samples.append((-1, 0))
-    if rng.random() < 0.3:
-        rng.shuffle(samples)
     return samples, period, degree
 
 
@@ -317,10 +297,9 @@ def test_fit_matches_reference_on_ladder_windows():
     # the scan's widest pair: period 12, degree 4, on s = 0..72
     for values in ([s * s // 7 + s // 3 for s in range(73)],
                    [(s + (3, -1, 1, 0, 2, -2)[s % 6]) // 3 for s in range(73)]):
-        samples = list(enumerate(values))
         for period, degree in ((12, 4), (6, 1), (4, 2), (1, 0)):
-            assert fit_outcome(fit, samples, period, degree) == \
-                fit_outcome(fit_reference, samples, period, degree)
+            assert fit_outcome(fit, values, period, degree) == \
+                fit_outcome(fit_reference, values, period, degree)
 
 
 # --- integer evaluation against a plain Fraction Horner reference -----------

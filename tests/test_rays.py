@@ -126,13 +126,12 @@ def test_discover_quasipoly_walks_ladder():
 def ladder_over_fit(samples):
     """The ladder without the finite-difference screen: fit at every (period, degree)."""
     s_max = len(samples) - 1
-    pairs = list(enumerate(samples))
     last = None
     for period in PERIOD_LADDER:
         for degree in range(MAX_DEGREE + 1):
             if s_max < period * (degree + 2):
                 continue
-            result = fit(pairs, period, degree)
+            result = fit(samples, period, degree)
             if isinstance(result, QuasiPolynomial):
                 return result, period, degree
             last = result
